@@ -33,11 +33,10 @@ from .lattice import (
     WalkOperator,
     WalkState,
     apply_walk,
+    ray_meets_box,
 )
-from .spectral import NumericalFailure
+from .spectral import TWO_PI, NumericalFailure
 from .translation import translation_weight
-
-TWO_PI = 2.0 * np.pi
 
 # Full mirror: swaps left with right and down with up.  It satisfies the
 # pinned rows of every wall segment, so it is the canonical wall coin.
@@ -438,10 +437,7 @@ def exterior_escape_check(walk: NonPenetrableWalk) -> int:
                 traced += 1
                 q, p = start
                 for _ in range(cap):
-                    dx, dy = STEPS[p]
-                    axis_ok = abs(q[1]) <= m0 if dx else abs(q[0]) <= m0
-                    toward = (q[0] * dx <= m0) if dx else (q[1] * dy <= m0)
-                    if not (axis_ok and toward):
+                    if not ray_meets_box(q, p, m0):
                         break
                     col = coin.coin_at(q)[:, p]
                     hits = np.flatnonzero(np.abs(col) > 1e-12)

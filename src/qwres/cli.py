@@ -61,13 +61,12 @@ from .shape import (
 from .spectral import (
     STRIP_IM_MAX,
     STRIP_SHIFT,
+    TWO_PI,
+    DeterminantFamily,
     KappaRect,
     NumericalFailure,
-    det_value,
     locate_roots,
 )
-
-TWO_PI = 2.0 * math.pi
 
 MODEL_PRESETS = (
     "free",
@@ -131,7 +130,6 @@ _DEFAULTS: Dict[str, Dict[str, object]] = {
         "eps": 0.0,
         "seed": 0,
         "strip_depth": None,
-        "tol": 1e-10,
         "emit": "json",
     },
     "barrier-spec": {"preset": "barrier-trivial", "M0": 1, "coin_json": None},
@@ -273,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     model_opts(p, "resonances", with_eps=True)
     opt(p, "--strip-depth", type=float, dest="strip_depth",
         help="scan Im kappa down to -DEPTH (default: the standard strip, depth 2)")
-    opt(p, "--tol", type=float, help="root refinement tolerance (default: 1e-10)")
     opt(p, "--emit", choices=_EMIT_CHOICES["resonances"],
         help="output format (default: json)")
 
@@ -352,8 +349,6 @@ def _validate(cfg: Dict[str, object]) -> None:
         _require_float(cfg, "eps", 0.0, 1.0)
     if "s" in cfg:
         _require_float(cfg, "s", 1e-9, 4.0)
-    if "tol" in cfg:
-        _require_float(cfg, "tol", 1e-15, 1e-2)
     if "mu0" in cfg:
         _require_float(cfg, "mu0", -1e6, 1e6)
     if "strip_depth" in cfg and cfg["strip_depth"] is not None:
@@ -475,7 +470,7 @@ def _root_obj(root) -> Dict[str, object]:
     }
 
 
-def _reissue(root, coin: CoinField, kappa: complex):
+def _reissue(root, fam: DeterminantFamily, kappa: complex):
     """Move a root to the reported kappa, re-measuring the determinant there.
 
     Reporting can shift the real part by whole periods or into the frame of
@@ -484,7 +479,7 @@ def _reissue(root, coin: CoinField, kappa: complex):
     Anyone re-checking |D(kappa)| from the output then reproduces a number
     bounded by the reported residual.
     """
-    value, _ = det_value(coin, kappa)
+    value, _ = fam.det_dlog(kappa)
     residual = max(float(root.residual), abs(value))
     return dataclasses.replace(root, kappa=kappa, residual=residual)
 
@@ -570,14 +565,14 @@ def _run_elastic_spec(cfg):
 
 
 def _run_resonances(cfg):
-    coin = _model_coin_field(cfg)
+    fam = DeterminantFamily(_model_coin_field(cfg))
     if cfg["strip_depth"] is None:
         region = None
     else:
         region = KappaRect(STRIP_SHIFT, STRIP_SHIFT + TWO_PI, -cfg["strip_depth"], STRIP_IM_MAX)
     roots = [
-        _reissue(r, coin, complex(r.kappa.real % TWO_PI, r.kappa.imag))
-        for r in locate_roots(coin, region=region, tol=cfg["tol"])
+        _reissue(r, fam, complex(r.kappa.real % TWO_PI, r.kappa.imag))
+        for r in locate_roots(fam, region=region)
     ]
     roots = sorted(roots, key=lambda r: (r.kappa.real, r.kappa.imag))
     payload = {
@@ -630,15 +625,14 @@ def _scan_output(fam, cfg):
         ("eps", "mu0", "count", "root_re", "root_im", "w_abs", "dist_to_mu0")
     ]
     records = []
-    coins: Dict[float, CoinField] = {}
+    families: Dict[float, DeterminantFamily] = {}
     for row in scan:
-        if row.eps not in coins:
-            coins[row.eps] = rebuild_family(fam, row.eps).coin
-        coin = coins[row.eps]
+        if row.eps not in families:
+            families[row.eps] = DeterminantFamily(rebuild_family(fam, row.eps).coin)
         reported = []
         for root in sorted(row.roots, key=lambda r: (r.kappa.real, r.kappa.imag)):
             re = row.mu0 + ((root.kappa.real - row.mu0 + math.pi) % TWO_PI) - math.pi
-            reported.append(_reissue(root, coin, complex(re, root.kappa.imag)))
+            reported.append(_reissue(root, families[row.eps], complex(re, root.kappa.imag)))
         records.append({
             "eps": row.eps,
             "mu0": row.mu0,

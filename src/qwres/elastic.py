@@ -27,9 +27,9 @@ from .lattice import (
     CoinField,
     Site,
     WalkState,
+    ray_meets_box,
 )
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI
 
 _IDENTITY_PERM = (0, 1, 2, 3)
 _ZERO_PHASES = (0.0, 0.0, 0.0, 0.0)
@@ -141,14 +141,6 @@ class Escaped:
     steps: int
 
 
-def _ray_meets_box(site: Site, chirality: int, box_radius: int) -> bool:
-    x, y = site
-    dx, dy = STEPS[chirality]
-    if dx:
-        return abs(y) <= box_radius and (x * dx) <= box_radius
-    return abs(x) <= box_radius and (y * dy) <= box_radius
-
-
 def trace_trajectory(coin: PermutationCoin, y: Site, j: int) -> Union[ClosedOrbit, Escaped]:
     """Follow the classical trajectory from (y, j) to closure or escape.
 
@@ -165,7 +157,7 @@ def trace_trajectory(coin: PermutationCoin, y: Site, j: int) -> Union[ClosedOrbi
     # segment of the start ray, so this cap is never hit for valid inputs.
     cap = 8 * (2 * coin.box_radius + 3) ** 2 + abs(q[0]) + abs(q[1]) + 16
     for step_count in range(cap):
-        if not _ray_meets_box(q, p, coin.box_radius):
+        if not ray_meets_box(q, p, coin.box_radius):
             return Escaped(start=start, exit_state=(q, p), steps=step_count)
         states.append((q, p))
         phases.append(coin.alpha(q)[p])

@@ -241,16 +241,13 @@ def apply_walk(op: WalkOperator, u: WalkState) -> WalkState:
     return WalkState._wrap(out)
 
 
-def _ray_misses_box(site: Site, chirality: int, box_radius: int) -> bool:
-    """True when the forward ray from (site, chirality) never meets the coin box."""
+def ray_meets_box(site: Site, chirality: int, box_radius: int) -> bool:
+    """True when the forward ray from (site, chirality) meets the coin box."""
     x, y = site
-    if chirality == LEFT:
-        return abs(y) > box_radius or x < -box_radius
-    if chirality == RIGHT:
-        return abs(y) > box_radius or x > box_radius
-    if chirality == DOWN:
-        return abs(x) > box_radius or y < -box_radius
-    return abs(x) > box_radius or y > box_radius
+    dx, dy = STEPS[chirality]
+    if dx:
+        return abs(y) <= box_radius and x * dx <= box_radius
+    return abs(x) <= box_radius and y * dy <= box_radius
 
 
 def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
@@ -286,7 +283,7 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
             a = vec[j]
             if a == 0:
                 continue
-            if _ray_misses_box(site, j, m0):
+            if not ray_meets_box(site, j, m0):
                 banked.append((x, y, j, a, 0))
             else:
                 key = (site, j)
@@ -345,18 +342,21 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     return WalkState._wrap(out)
 
 
-def random_unitary_coin(seed: int) -> np.ndarray:
-    """Deterministic Haar-like 4x4 unitary for a given seed.
+def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed 4x4 unitary drawn from rng.
 
     Built from the QR factorization of a complex Gaussian sample with the
     usual diagonal phase fix; the unitarity residual is at rounding level.
     """
-    rng = np.random.default_rng(seed)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, rmat = np.linalg.qr(z)
     d = np.diagonal(rmat)
-    q = q * (d / np.abs(d))
-    return q
+    return q * (d / np.abs(d))
+
+
+def random_unitary_coin(seed: int) -> np.ndarray:
+    """Deterministic Haar-like 4x4 unitary for a given seed."""
+    return _haar_unitary(np.random.default_rng(seed))
 
 
 def random_coin_field(box_radius: int, seed: int, density: float = 1.0) -> CoinField:
@@ -371,10 +371,7 @@ def random_coin_field(box_radius: int, seed: int, density: float = 1.0) -> CoinF
         for y in range(-box_radius, box_radius + 1):
             if density < 1.0 and rng.random() >= density:
                 continue
-            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            q, rmat = np.linalg.qr(z)
-            d = np.diagonal(rmat)
-            overrides[(x, y)] = q * (d / np.abs(d))
+            overrides[(x, y)] = _haar_unitary(rng)
     return CoinField(box_radius, overrides)
 
 

@@ -47,6 +47,7 @@ from .lattice import (
     unitarity_residual,
 )
 from .spectral import (
+    TWO_PI,
     KappaRect,
     NumericalFailure,
     Root,
@@ -57,8 +58,6 @@ from .spectral import (
     resolvent_matrix_element,
 )
 from .translation import OutgoingState, apply_T_theta
-
-TWO_PI = 2.0 * math.pi
 
 PLUS = "plus"
 MINUS = "minus"
@@ -454,7 +453,11 @@ def corner_quantization(fam: CornerFamily) -> QuantizationData:
         if abs(c) < 1e-15:
             # A fully absorbing corner: the circulation supports no modes.
             continue
-        is_eigen = abs(abs(c) - 1.0) <= 1e-12
+        n = fam.period
+        modulus = abs(c) ** (1.0 / n)
+        # Classify by the multiplier modulus |w| = |c|**(1/n) that the modes
+        # carry: |c| may sit up to n * 1e-12 below 1 with |w| still unit.
+        is_eigen = abs(modulus - 1.0) <= 1e-12
         if is_eigen:
             for entry in entries:
                 if abs(abs(entry) - 1.0) > 1e-10:
@@ -462,9 +465,7 @@ def corner_quantization(fam: CornerFamily) -> QuantizationData:
                         "unit turn product with a non-unit factor; "
                         "the circulation data is inconsistent"
                     )
-        n = fam.period
         arg = cmath.phase(c)
-        modulus = abs(c) ** (1.0 / n)
         for k in range(n):
             w = modulus * cmath.exp(1j * (arg + TWO_PI * k) / n)
             re = (-(arg + TWO_PI * k) / n) % TWO_PI

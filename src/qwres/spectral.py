@@ -15,13 +15,15 @@ multiplicity by the winding of D.  Every entry of M is a constant times
 e^{i kappa n} for a positive integer n, which is what makes evaluation on
 batches of kappa cheap and the continuation to the lower half plane free.
 
-Root location runs an adaptive argument-principle scan over a rectangle:
-the winding number of each cell is read off a phase-tracked boundary walk,
-cells with nonzero winding are quadrisected along cuts chosen to stay away
-from zeros, and a multiplicity-corrected Newton iteration from the cell
-center short-circuits the recursion once it lands on a root that a small
-verification contour confirms.  Windings that refuse to settle to integers
-raise NumericalFailure rather than being rounded.
+Root location uses that structure: D is the determinant of a matrix
+polynomial in e^{i kappa}, so all its zeros are eigenvalues of one
+block-companion matrix.  The eigenvalues that fall in the requested
+rectangle, one copy per period it spans, are grouped into clusters; each
+cluster is polished by a multiplicity-corrected Newton iteration and
+certified by the winding of D around a small contour, and the certified
+multiplicities must add up to the argument-principle winding around the
+whole rectangle.  Windings that refuse to settle to integers, and counts
+that disagree, raise NumericalFailure rather than being rounded.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ class KappaRect:
     def height(self) -> float:
         return self.im_max - self.im_min
 
-    @property
-    def center(self) -> complex:
-        return complex(0.5 * (self.re_min + self.re_max), 0.5 * (self.im_min + self.im_max))
-
     def corners(self) -> Tuple[complex, complex, complex, complex]:
         """Counterclockwise from the bottom-left corner."""
         return (
@@ -115,12 +113,6 @@ class KappaRect:
             complex(self.re_max, self.im_min),
             complex(self.re_max, self.im_max),
             complex(self.re_min, self.im_max),
-        )
-
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            self.re_min - margin <= z.real <= self.re_max + margin
-            and self.im_min - margin <= z.imag <= self.im_max + margin
         )
 
     def expanded(self, delta: float) -> "KappaRect":
@@ -348,54 +340,73 @@ def winding_number(coin: CoinField, region: KappaRect, retries: int = 3) -> int:
     )
 
 
-_CUT_FRACTIONS = (0.5, 0.47, 0.53, 0.41, 0.59)
-
-
-def _best_cut(fam: DeterminantFamily, lo: float, hi: float, fixed_lo: float, fixed_hi: float, vertical: bool) -> float:
-    """Pick a cut coordinate whose line stays farthest from zeros of D.
-
-    Candidates are fixed fractions of the interval; the score of each is the
-    minimum log|D| over a coarse sampling of the cut segment.
-    """
-    ts = np.linspace(0.0, 1.0, 17)
-    best_val = -np.inf
-    best_cut = 0.5 * (lo + hi)
-    for frac in _CUT_FRACTIONS:
-        cut = lo + frac * (hi - lo)
-        if vertical:
-            zs = cut + 1j * (fixed_lo + ts * (fixed_hi - fixed_lo))
-        else:
-            zs = (fixed_lo + ts * (fixed_hi - fixed_lo)) + 1j * cut
-        logabs, _ = fam.logdet(zs)
-        score = float(np.min(logabs))
-        if score > best_val:
-            best_val = score
-            best_cut = cut
-    return best_cut
-
-
 _NEWTON_MAX_ITER = 60
+# Half-width of the contour that certifies a root's multiplicity.  Companion
+# eigenvalues closer than this share one contour, so they are grouped into
+# one root: a defective root of multiplicity m comes back as m eigenvalues
+# spread by about (machine epsilon)^(1/m), and distinct zeros that close
+# cannot be told apart by the certificate.  Newton may not move a group
+# farther than this either, or it could land on a zero counted elsewhere.
 _VERIFY_RADIUS = 1e-6
-_MIN_CELL = 1e-12
 
 
-def _newton_root(fam: DeterminantFamily, rect: KappaRect, mult: int) -> Optional[complex]:
-    """Multiplicity-corrected Newton from the cell center; None if it strays."""
-    z = rect.center
-    bound = rect.expanded(0.25 * max(rect.width, rect.height))
-    last_step = np.inf
+def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
+    """Every zero of D modulo 2 pi, from a block-companion eigenproblem.
+
+    D(kappa) = det P(z) with P(z) = I + sum_n C_n z^n, z = e^{i kappa}, and
+    C_n the coefficients whose exponent is n.  The reversed polynomial
+    y^N P(1/y) in y = 1/z = e^{-i kappa} is monic, so the eigenvalues of its
+    companion matrix are all its finite zeros; y = 0 stands for z at
+    infinity and is dropped.  Real parts come back in [-pi, pi).
+    """
+    m = fam.m
+    top = int(fam.expo.max())
+    comp = np.zeros((m * top, m * top), dtype=complex)
+    comp[: m * (top - 1), m:] = np.eye(m * (top - 1))
+    # Last block row: -[C_N, C_{N-1}, ..., C_1], the coefficients of y^0 .. y^{N-1}.
+    for k in range(top):
+        comp[m * (top - 1):, m * k : m * (k + 1)] = -np.where(fam.expo == top - k, fam.coeff, 0.0)
+    ys = np.linalg.eigvals(comp)
+    ys = ys[ys != 0]
+    return -np.angle(ys) + 1j * np.log(np.abs(ys))
+
+
+def _group_in_region(kappas: np.ndarray, rect: KappaRect) -> List[List[complex]]:
+    """Copies of the candidates in rect, one per period, grouped by proximity."""
+    copies = []
+    for z in kappas[(kappas.imag >= rect.im_min) & (kappas.imag <= rect.im_max)]:
+        first = int(np.ceil((rect.re_min - z.real) / TWO_PI))
+        last = int(np.floor((rect.re_max - z.real) / TWO_PI))
+        copies.extend(complex(z.real + TWO_PI * k, z.imag) for k in range(first, last + 1))
+    groups: List[List[complex]] = []
+    for z in sorted(copies, key=lambda z: (z.real, z.imag)):
+        for group in groups:
+            if min(abs(z - w) for w in group) < _VERIFY_RADIUS:
+                group.append(z)
+                break
+        else:
+            groups.append([z])
+    return groups
+
+
+def _newton_root(fam: DeterminantFamily, z: complex, mult: int) -> Optional[complex]:
+    """Multiplicity-corrected Newton from z; None if it strays or stalls.
+
+    A point where D vanishes to working precision has no finite log
+    derivative and is returned as it is.
+    """
+    start = z
     for _ in range(_NEWTON_MAX_ITER):
         _, dlog = fam.det_dlog(z)
-        if not np.isfinite(dlog.real) or not np.isfinite(dlog.imag) or dlog == 0:
-            return None
+        if not np.isfinite(dlog) or dlog == 0:
+            return z
         step = -mult / dlog
         z = z + step
-        if not bound.contains(z):
+        if abs(z - start) > _VERIFY_RADIUS:
             return None
-        last_step = abs(step)
-        if last_step < 1e-14 * max(1.0, abs(z)):
+        if abs(step) < 1e-14 * max(1.0, abs(z)):
             return z
-    return z if last_step < 1e-11 else None
+    return z if abs(step) < 1e-11 else None
 
 
 def _verify_root(fam: DeterminantFamily, z: complex, mult: int) -> bool:
@@ -408,60 +419,32 @@ def _verify_root(fam: DeterminantFamily, z: complex, mult: int) -> bool:
     return False
 
 
-def _scan_cell(fam: DeterminantFamily, rect: KappaRect, tol: float, out: List[Tuple[complex, int]]):
-    w = winding_number(fam, rect)
-    if w == 0:
-        return
-    if w < 0:
-        raise NumericalFailure(
-            f"negative winding {w} over {rect}; the determinant is holomorphic so "
-            "this indicates a numerical breakdown"
-        )
-    if max(rect.width, rect.height) < 1.0:
-        z = _newton_root(fam, rect, w)
-        if z is not None and rect.expanded(1e-3 * max(rect.width, rect.height)).contains(z):
-            if _verify_root(fam, z, w):
-                out.append((z, w))
-                return
-    if min(rect.width, rect.height) < _MIN_CELL:
-        raise NumericalFailure(
-            f"could not separate a zero cluster of total multiplicity {w} near {rect.center}"
-        )
-    re_cut = _best_cut(fam, rect.re_min, rect.re_max, rect.im_min, rect.im_max, vertical=True)
-    im_cut = _best_cut(fam, rect.im_min, rect.im_max, rect.re_min, rect.re_max, vertical=False)
-    for child in (
-        KappaRect(rect.re_min, re_cut, rect.im_min, im_cut),
-        KappaRect(re_cut, rect.re_max, rect.im_min, im_cut),
-        KappaRect(rect.re_min, re_cut, im_cut, rect.im_max),
-        KappaRect(re_cut, rect.re_max, im_cut, rect.im_max),
-    ):
-        _scan_cell(fam, child, tol, out)
-
-
-def locate_roots(
-    coin: CoinField,
-    region: Optional[KappaRect] = None,
-    tol: float = 1e-10,
-) -> List[Root]:
+def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Root]:
     """All determinant zeros in the region, as verified Root records.
 
     With no region the default strip (one period in Re kappa, Im kappa from
-    -2 to just above the axis) is scanned and real parts are reported in
-    [0, 2 pi).  Roots are only accepted after a Newton refinement whose
-    multiplicity is confirmed by a small verification contour; anything the
-    scan cannot certify raises NumericalFailure instead of degrading the
-    answer silently.
+    -2 to just above the axis) is searched and real parts are reported in
+    [0, 2 pi).  Candidates are the eigenvalues of a block-companion matrix;
+    each group of coinciding candidates is refined by Newton and accepted
+    only once a small verification contour confirms its multiplicity, and
+    the multiplicities must add up to the winding of D around the region.
+    Anything that cannot be certified raises NumericalFailure instead of
+    degrading the answer silently.
     """
     fam = DeterminantFamily(coin) if not isinstance(coin, DeterminantFamily) else coin
     normalize = region is None
     rect = default_strip() if region is None else region
     if fam.trivial:
         return []
-    found: List[Tuple[complex, int]] = []
-    _scan_cell(fam, rect, tol, found)
 
     roots: List[Root] = []
-    for z, mult in found:
+    for group in _group_in_region(_zero_candidates(fam), rect):
+        mult = len(group)
+        z = _newton_root(fam, complex(np.mean(group)), mult)
+        if z is None or not _verify_root(fam, z, mult):
+            raise NumericalFailure(
+                f"could not certify a zero of multiplicity {mult} near {group[0]}"
+            )
         if z.imag > 1e-10:
             raise NumericalFailure(
                 f"located a zero at {z} above the real axis, which contradicts "
@@ -487,19 +470,14 @@ def locate_roots(
             )
         roots.append(Root(kappa, mult, residual, kind))
 
-    # Merge duplicates that can arise from boundary perturbation near the
-    # periodic seam of the default strip.
-    merged: List[Root] = []
-    for root in sorted(roots, key=lambda r: (r.kappa.real, r.kappa.imag)):
-        dup = None
-        for prev in merged:
-            gap = abs((root.kappa.real - prev.kappa.real + np.pi) % TWO_PI - np.pi)
-            if gap < 1e-7 and abs(root.kappa.imag - prev.kappa.imag) < 1e-7:
-                dup = prev
-                break
-        if dup is None:
-            merged.append(root)
-    return merged
+    found = sum(r.multiplicity for r in roots)
+    expected = winding_number(fam, rect)
+    if found != expected:
+        raise NumericalFailure(
+            f"located zeros of total multiplicity {found} in {rect}, "
+            f"but the winding of D around it counts {expected}"
+        )
+    return sorted(roots, key=lambda r: (r.kappa.real, r.kappa.imag))
 
 
 # ---------------------------------------------------------------------------

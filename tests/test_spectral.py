@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwres import spectral
 from qwres.lattice import (
     CHIRALITIES,
     DOWN,
@@ -266,14 +267,39 @@ def test_locate_roots_on_leaky_loop():
         assert abs(r.w) == pytest.approx(np.exp(r.kappa.imag), rel=1e-10)
 
 
-def test_locate_roots_finds_double_eigenvalues_of_closed_loop():
+@pytest.mark.parametrize(
+    "region,count",
+    [
+        (None, 4),
+        (KappaRect(-0.5, 0.5, -0.5, 1e-6), 1),
+        # Two periods wide: every root once per period.
+        (KappaRect(-np.pi / 32, 4 * np.pi - np.pi / 32, -2.0, 1e-6), 8),
+    ],
+    ids=["strip", "around-zero", "two-periods"],
+)
+def test_locate_roots_finds_double_eigenvalues_of_closed_loop(region, count):
     coin = CoinField(1, one_corner_coins(0.0))
-    roots = locate_roots(coin)
-    assert len(roots) == 4
+    roots = locate_roots(coin, region)
+    assert len(roots) == count
     for k, r in enumerate(sorted(roots, key=lambda r: r.kappa.real)):
         assert r.kind == "eigenvalue"
         assert r.multiplicity == 2
         assert r.kappa == pytest.approx(np.pi * k / 2.0, abs=1e-8)
+
+
+def test_locate_roots_refuses_a_count_short_of_the_winding(monkeypatch):
+    # A candidate lost by the eigenvalue solver must not drop out of the
+    # answer silently: the winding around the region still counts it.
+    coin = CoinField(1, one_corner_coins(0.6))
+    full = spectral._zero_candidates
+
+    def short(fam):
+        kappas = full(fam)
+        return np.delete(kappas, np.argmin(np.abs(kappas)))
+
+    monkeypatch.setattr(spectral, "_zero_candidates", short)
+    with pytest.raises(NumericalFailure, match="total multiplicity 7 .* counts 8"):
+        locate_roots(coin)
 
 
 def test_winding_vanishes_above_the_axis():
