@@ -386,9 +386,10 @@ def norm_on_loop(
 ) -> float:
     """Max interior resolvent norm over the loop of scale eps^s around mu0.
 
-    The norm at kappa is 1 / sigma_min(U_i - e^{-i kappa}).  Any eigenphase
-    other than mu0 inside the loop makes the scaling regime meaningless, so
-    that raises instead of returning a number.
+    The norm at kappa is 1 / sigma_min(U_i - e^{-i kappa}), which for the
+    unitary, hence normal, U_i is 1 / min_j |lambda_j - e^{-i kappa}|.  Any
+    eigenphase other than mu0 inside the loop makes the scaling regime
+    meaningless, so that raises instead of returning a number.
     """
     loop = ContourLoop.for_scale(mu0, eps, s, a, b)
     others = iu.phase_distance(mu0) > 1e-8
@@ -400,14 +401,12 @@ def norm_on_loop(
             f"another eigenphase lies inside the loop of half width {loop.half_re:.3e} "
             f"around mu0 = {mu0}"
         )
-    best = 0.0
-    for kappa in loop.boundary_points(max(64, samples)):
-        w = np.exp(-1j * kappa)
-        sigma = scipy.linalg.svdvals(iu.matrix - w * np.eye(iu.dimension))[-1]
-        if sigma <= 0:
-            raise NumericalFailure(f"resolvent is singular on the loop at kappa = {kappa}")
-        best = max(best, 1.0 / float(sigma))
-    return best
+    kappas = loop.boundary_points(max(64, samples))
+    sigma = np.min(np.abs(np.exp(-1j * kappas)[:, None] - iu.eigenvalues[None, :]), axis=1)
+    worst = int(np.argmin(sigma))
+    if sigma[worst] <= 0:
+        raise NumericalFailure(f"resolvent is singular on the loop at kappa = {kappas[worst]}")
+    return 1.0 / float(sigma[worst])
 
 
 _ESCAPE_CAP_FACTOR = 16

@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     opt(p, "--eps-grid", type=_grid_flag, dest="eps_grid", metavar="E1,E2,...",
         help="perturbation strengths, required")
     opt(p, "--s", type=float, help="loop scale exponent (default: 0.5)")
-    opt(p, "--samples", type=int, help="boundary samples per loop (default: 64)")
+    opt(p, "--samples", type=int, help="boundary samples per loop, at least 64 (default: 64)")
     opt(p, "--emit", choices=_EMIT_CHOICES["barrier-norms"],
         help="output format (default: csv)")
 
@@ -342,7 +342,7 @@ def _validate(cfg: Dict[str, object]) -> None:
                 f"got {cfg['preset']!r}"
             )
     for key, minimum in (("m0", 1), ("n0", 1), ("M0", 1), ("t", 0), ("seed", 0),
-                         ("samples", 8)):
+                         ("samples", 64)):
         if key in cfg:
             _require_int(cfg, key, minimum)
     if "eps" in cfg:

@@ -49,6 +49,14 @@ EIGENVALUE_IM_TOL = 1e-8
 ROOT_RESIDUAL_TOL = 1e-8
 WINDING_INTEGER_TOL = 1e-3
 
+# Bounds on the batched contour quadrature: the new points of one level (a
+# zero next to the contour would otherwise let levels grow until the depth
+# budget runs out) and the matrix entries stacked into one solve.
+_LEVEL_CAP = 1 << 14
+_CHUNK_ENTRIES = 1 << 16
+# Expanded rectangles winding_number tries after the requested one.
+_BOUNDARY_RETRIES = 3
+
 # The half coordinate a chirality component moves along (x1 horizontal,
 # x2 vertical) and the side of the diagonal its free kernel lives on.
 _KERNEL_AXIS = (0, 0, 1, 1)
@@ -187,11 +195,16 @@ class DeterminantFamily:
         self.expo = expo
         self.coeff = coeff
         self.trivial = not np.any(coeff)
+        self._power_index = expo.astype(int)
+        self._top = int(expo.max()) if expo.size else 0
 
     def matrices(self, kappas: np.ndarray) -> np.ndarray:
         """Stack of M(kappa), shape (len(kappas), m, m)."""
         kappas = np.asarray(kappas, dtype=complex).reshape(-1)
-        return self.coeff * np.exp(1j * kappas[:, None, None] * self.expo)
+        # The N + 1 powers e^{i kappa n} gathered by exponent: the same products
+        # as one exponential per entry.
+        powers = np.exp(1j * kappas[:, None] * np.arange(self._top + 1, dtype=float))
+        return self.coeff * powers[:, self._power_index]
 
     def logdet(self, kappas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(log|D|, arg D) for a batch of kappas, overflow free."""
@@ -206,20 +219,30 @@ class DeterminantFamily:
             ang = np.angle(sign)
         return logabs, ang
 
+    def dlogs(self, kappas: np.ndarray) -> np.ndarray:
+        """d/dkappa log D = trace((I + M)^{-1} M') for a batch of kappas.
+
+        Solved in stacks of at most _CHUNK_ENTRIES matrix entries; a stack in
+        which some I + M is singular comes back as inf throughout.
+        """
+        kappas = np.asarray(kappas, dtype=complex).reshape(-1)
+        out = np.zeros(kappas.shape, dtype=complex)
+        if self.trivial or self.m == 0:
+            return out
+        chunk = max(1, _CHUNK_ENTRIES // self.m**2)
+        for lo in range(0, len(kappas), chunk):
+            mats = self.matrices(kappas[lo : lo + chunk])
+            try:
+                solved = np.linalg.solve(mats + np.eye(self.m), 1j * self.expo * mats)
+                out[lo : lo + chunk] = np.trace(solved, axis1=1, axis2=2)
+            except np.linalg.LinAlgError:
+                out[lo : lo + chunk] = np.inf
+        return out
+
     def det_dlog(self, kappa: complex) -> Tuple[complex, complex]:
         """(D(kappa), d/dkappa log D(kappa)); D may overflow deep in the strip."""
-        if self.trivial or self.m == 0:
-            return 1.0 + 0.0j, 0.0j
-        mat = self.matrices(np.array([kappa]))[0]
-        a = mat + np.eye(self.m)
-        sign, logabs = np.linalg.slogdet(a)
-        d = sign * np.exp(logabs)
-        mprime = 1j * self.expo * mat
-        try:
-            dlog = complex(np.trace(np.linalg.solve(a, mprime)))
-        except np.linalg.LinAlgError:
-            dlog = complex(np.inf)
-        return complex(d), dlog
+        sign, logabs = np.linalg.slogdet(self.matrices(np.array([kappa]))[0] + np.eye(self.m))
+        return complex(sign * np.exp(logabs)), complex(self.dlogs(np.array([kappa]))[0])
 
     def abs_det(self, kappa: complex) -> float:
         logabs, _ = self.logdet(np.array([kappa]))
@@ -233,10 +256,7 @@ def interaction_index(coin: CoinField) -> Tuple[Tuple[Tuple[int, int], int], ...
 
 def interaction_matrix(coin: CoinField, kappa: complex) -> np.ndarray:
     """The compressed matrix M(kappa) on the override pairs."""
-    fam = DeterminantFamily(coin)
-    if fam.m == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return fam.matrices(np.array([kappa]))[0]
+    return DeterminantFamily(coin).matrices(np.array([kappa]))[0]
 
 
 def det_value(coin: CoinField, kappa: complex) -> Tuple[complex, complex]:
@@ -252,61 +272,62 @@ _SIMPSON_DEPTH = 48
 _EDGE_TOL = 2e-4
 
 
-def _edge_dlog_integral(fam: DeterminantFamily, a: complex, b: complex) -> complex:
-    """Integral of (log D)' along the segment a -> b by adaptive Simpson.
+def _contour_dlogs(fam: DeterminantFamily, kappas: np.ndarray) -> np.ndarray:
+    """(log D)' at one refinement level's new points, evaluated as one batch."""
+    if len(kappas) > _LEVEL_CAP:
+        raise _EdgeTrouble(f"adaptive contour integration needs {len(kappas)} points in one level")
+    values = fam.dlogs(kappas)
+    if not np.all(np.isfinite(values)):
+        raise _EdgeTrouble("determinant (near) zero on the contour")
+    return values
+
+
+def _contour_dlog_integral(fam: DeterminantFamily, rect: KappaRect) -> complex:
+    """Integral of (log D)' counterclockwise around rect by adaptive Simpson.
 
     Integrating the logarithmic derivative instead of tracking arg D keeps
     long edges honest: the derivative is smooth wherever D is zero free, so
     a whole hidden turn of D between samples cannot alias away.  The seed
-    partition is matched to the highest frequency e^{i kappa n} present in
-    the matrix family; refinement then concentrates near any zeros close to
-    the edge.
+    panels of each edge are matched to the highest frequency e^{i kappa n}
+    present in the matrix family; refinement then concentrates near any
+    zeros close to the edge.  All panels are refined together, level by
+    level, each level's new points in one batch.  Raises _EdgeTrouble where
+    D vanishes on the contour or a level or the depth budget is exceeded.
     """
-    span = b - a
-
-    def f(t: float) -> complex:
-        _, dlog = fam.det_dlog(a + span * t)
-        if not (np.isfinite(dlog.real) and np.isfinite(dlog.imag)):
-            raise _EdgeTrouble(f"determinant (near) zero on contour at t={t:.6f}")
-        return dlog * span
-
-    e_max = max(1.0, float(np.max(fam.expo)) if fam.expo.size else 1.0)
-    panels = max(8, int(np.ceil(abs(span) * 4.0 * e_max)))
-    knots = np.linspace(0.0, 1.0, panels + 1)
-    values = [f(t) for t in knots]
+    corners = rect.corners()
+    e_max = max(1, fam._top)
+    knots, tols = [], []
+    for i in range(4):
+        a, b = corners[i], corners[(i + 1) % 4]
+        panels = max(8, int(np.ceil(abs(b - a) * 4.0 * e_max)))
+        knots.append(a + (b - a) * np.arange(panels) / panels)
+        tols.append(np.full(panels, _EDGE_TOL / panels))
+    # The knots go once around the loop; each panel ends where the next starts.
+    z0, tol = np.concatenate(knots), np.concatenate(tols)
+    z2 = np.roll(z0, -1)
+    z1 = 0.5 * (z0 + z2)
+    f0, f1 = np.split(_contour_dlogs(fam, np.concatenate([z0, z1])), 2)
+    f2 = np.roll(f0, -1)
+    whole = (z2 - z0) / 6.0 * (f0 + 4.0 * f1 + f2)
     total = 0.0j
-    tol = _EDGE_TOL / panels
-    for i in range(panels):
-        t0, t2 = knots[i], knots[i + 1]
-        t1 = 0.5 * (t0 + t2)
-        f1 = f(t1)
-        whole = (t2 - t0) / 6.0 * (values[i] + 4.0 * f1 + values[i + 1])
-        total += _simpson(f, t0, t1, t2, values[i], f1, values[i + 1], whole, tol, _SIMPSON_DEPTH)
-    return total
-
-
-def _simpson(f, t0, t1, t2, f0, f1, f2, whole, tol, depth) -> complex:
-    lm = 0.5 * (t0 + t1)
-    rm = 0.5 * (t1 + t2)
-    flm = f(lm)
-    frm = f(rm)
-    left = (t1 - t0) / 6.0 * (f0 + 4.0 * flm + f1)
-    right = (t2 - t1) / 6.0 * (f1 + 4.0 * frm + f2)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise _EdgeTrouble("adaptive contour integration exhausted its depth budget")
-    return _simpson(f, t0, lm, t1, f0, flm, f1, left, tol / 2.0, depth - 1) + _simpson(
-        f, t1, rm, t2, f1, frm, f2, right, tol / 2.0, depth - 1
-    )
+    for _ in range(_SIMPSON_DEPTH + 1):
+        zl, zr = 0.5 * (z0 + z1), 0.5 * (z1 + z2)
+        fl, fr = np.split(_contour_dlogs(fam, np.concatenate([zl, zr])), 2)
+        left = (z1 - z0) / 6.0 * (f0 + 4.0 * fl + f1)
+        right = (z2 - z1) / 6.0 * (f1 + 4.0 * fr + f2)
+        err = left + right - whole
+        done = np.abs(err) <= 15.0 * tol
+        total += np.sum((left + right + err / 15.0)[done])
+        if done.all():
+            return total
+        halves = ((z0, z1), (zl, zr), (z1, z2), (f0, f1), (fl, fr), (f1, f2),
+                  (left, right), (tol / 2.0, tol / 2.0))
+        z0, z1, z2, f0, f1, f2, whole, tol = [np.concatenate([h[0][~done], h[1][~done]]) for h in halves]
+    raise _EdgeTrouble("adaptive contour integration exhausted its depth budget")
 
 
 def _winding(fam: DeterminantFamily, rect: KappaRect) -> int:
-    corners = rect.corners()
-    total = 0.0j
-    for i in range(4):
-        total += _edge_dlog_integral(fam, corners[i], corners[(i + 1) % 4])
+    total = _contour_dlog_integral(fam, rect)
     # The real part is the change of log|D| around a closed loop, zero in
     # exact arithmetic; a drift means the quadrature cannot be trusted.
     if abs(total.real) > 0.02 * (1.0 + abs(total.imag)):
@@ -318,25 +339,26 @@ def _winding(fam: DeterminantFamily, rect: KappaRect) -> int:
     return int(nearest)
 
 
-def winding_number(coin: CoinField, region: KappaRect, retries: int = 3) -> int:
+def winding_number(coin: CoinField, region: KappaRect) -> int:
     """Number of determinant zeros inside the rectangle, by argument principle.
 
-    If a zero sits (numerically) on the boundary the rectangle is expanded by
-    a tiny amount and retried; persistent trouble raises NumericalFailure.
+    If a zero sits (numerically) on the boundary, or the quadrature runs out
+    of its depth or level budget, the rectangle is expanded by a tiny amount
+    and retried; persistent trouble raises NumericalFailure.
     """
     fam = coin if isinstance(coin, DeterminantFamily) else DeterminantFamily(coin)
     if fam.trivial:
         return 0
     rect = region
     delta = max(1e-8, 1e-7 * max(region.width, region.height))
-    for attempt in range(retries + 1):
+    for attempt in range(_BOUNDARY_RETRIES + 1):
         try:
             return _winding(fam, rect)
         except _EdgeTrouble as trouble:
             last = trouble
             rect = region.expanded(delta * (attempt + 1))
     raise NumericalFailure(
-        f"winding over {region} failed after {retries} boundary perturbations: {last}"
+        f"winding over {region} failed after {_BOUNDARY_RETRIES} boundary perturbations: {last}"
     )
 
 
@@ -485,21 +507,22 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
 # ---------------------------------------------------------------------------
 
 
-def _free_resolvent_triplets(f: WalkState, g: WalkState) -> Tuple[np.ndarray, np.ndarray]:
-    """Exponents and coefficients with <R0 f, g> = sum coeff * e^{i kappa n}."""
+def _kernel_series(terms) -> Tuple[np.ndarray, np.ndarray]:
+    """Exponents and coefficients with sum K_j(x, y) c = sum coeff * e^{i kappa n}.
+
+    terms yields (j, x, y, c); terms with c = 0 or off the kernel's support
+    are dropped.
+    """
     expos = []
     coeffs = []
-    for x, gvec in g.items():
-        for y, fvec in f.items():
-            for j in CHIRALITIES:
-                c = fvec[j] * np.conj(gvec[j])
-                if c == 0:
-                    continue
-                n = _free_kernel_exponent(j, x, y)
-                if n is None:
-                    continue
-                expos.append(n)
-                coeffs.append(-c)
+    for j, x, y, c in terms:
+        if c == 0:
+            continue
+        n = _free_kernel_exponent(j, x, y)
+        if n is None:
+            continue
+        expos.append(n)
+        coeffs.append(-c)
     return np.asarray(expos, dtype=float), np.asarray(coeffs, dtype=complex)
 
 
@@ -522,44 +545,19 @@ class ResolventPairing:
         self.coin = coin
         self.f = f
         self.g = g
-        self.base_expo, self.base_coeff = _free_resolvent_triplets(f, g)
-
-        m = self.fam.m
-        b_expo: List[List[float]] = [[] for _ in range(m)]
-        b_coeff: List[List[complex]] = [[] for _ in range(m)]
-        for row, (x, j) in enumerate(self.fam.pairs):
-            for y, fvec in f.items():
-                c = fvec[j]
-                if c == 0:
-                    continue
-                n = _free_kernel_exponent(j, x, y)
-                if n is None:
-                    continue
-                b_expo[row].append(n)
-                b_coeff[row].append(-c)
-        self._b = [
-            (np.asarray(e, dtype=float), np.asarray(c, dtype=complex))
-            for e, c in zip(b_expo, b_coeff)
-        ]
-
+        # <R0 f, g>, then per override row the restriction of R0 f.
+        self.base_expo, self.base_coeff = _kernel_series(
+            (j, x, y, fvec[j] * np.conj(gvec[j]))
+            for x, gvec in g.items() for y, fvec in f.items() for j in CHIRALITIES
+        )
+        self._b = [_kernel_series((j, x, y, fvec[j]) for y, fvec in f.items())
+                   for x, j in self.fam.pairs]
         # Pairing of a unit amplitude pushed from override site y in
         # chirality l against g: sum_x K_l(x, y) conj(g_l(x)).
-        w_expo: List[List[float]] = [[] for _ in range(m)]
-        w_coeff: List[List[complex]] = [[] for _ in range(m)]
-        for col, (y, l) in enumerate(self.fam.pairs):
-            shifted = (y[0] + STEPS[l][0], y[1] + STEPS[l][1])
-            for x, gvec in g.items():
-                c = np.conj(gvec[l])
-                if c == 0:
-                    continue
-                n = _free_kernel_exponent(l, x, shifted)
-                if n is None:
-                    continue
-                w_expo[col].append(n)
-                w_coeff[col].append(-c)
         self._w = [
-            (np.asarray(e, dtype=float), np.asarray(c, dtype=complex))
-            for e, c in zip(w_expo, w_coeff)
+            _kernel_series((l, x, (y[0] + STEPS[l][0], y[1] + STEPS[l][1]), np.conj(gvec[l]))
+                           for x, gvec in g.items())
+            for y, l in self.fam.pairs
         ]
         sites = coin.override_sites()
         eye = np.eye(4)

@@ -83,6 +83,11 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert "one-corner" in err["error"]["reason"]
 
+    def test_barrier_samples_below_64_exit_4(self, capsys):
+        # norm_on_loop samples at least 64 points; a smaller count would be ignored.
+        assert run_cli(["barrier-norms", "--eps-grid", "0.16", "--samples", "16"]) == 4
+        capsys.readouterr()
+
     def test_resonances_without_model_exits_4(self, capsys):
         assert run_cli(["resonances"]) == 4
         capsys.readouterr()

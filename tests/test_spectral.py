@@ -302,6 +302,45 @@ def test_locate_roots_refuses_a_count_short_of_the_winding(monkeypatch):
         locate_roots(coin)
 
 
+@pytest.mark.parametrize(
+    "rect",
+    [KappaRect(0.0, 1.0, -0.5, 0.5), KappaRect(-0.5, 0.5, 0.0, 0.5)],
+    ids=["vertical-edge", "horizontal-edge"],
+)
+def test_winding_retries_an_edge_through_an_exact_zero(rect):
+    # kappa = 0 is an exact double zero of the closed loop and a knot of the
+    # edge through it, so the stacked solve of the first attempt is singular.
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.0)))
+    assert not np.isfinite(fam.det_dlog(0.0)[1])
+    with pytest.raises(spectral._EdgeTrouble):
+        spectral._winding(fam, rect)
+    assert winding_number(fam, rect) == 2
+
+
+@pytest.mark.parametrize("im_max", [1e-6, 1e-7])
+def test_winding_attempt_fails_fast_within_the_level_cap(monkeypatch, im_max):
+    # The top edge passes just above eight double zeros, where rounding noise
+    # in (log D)' keeps panels failing the error test.  At 1e-7 the uncapped
+    # levels grow past 2^17 points; one attempt must stop at the level cap
+    # instead of growing a level until memory runs out.
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.0)))
+    rect = KappaRect(-np.pi / 32, 4 * np.pi - np.pi / 32, -2.0, im_max)
+    batch = DeterminantFamily.dlogs
+    sizes = []
+
+    def spy(self, kappas):
+        sizes.append(len(kappas))
+        return batch(self, kappas)
+
+    monkeypatch.setattr(DeterminantFamily, "dlogs", spy)
+    try:
+        count = spectral._winding(fam, rect)
+    except spectral._EdgeTrouble:
+        count = None
+    assert count in (None, 16)
+    assert 0 < max(sizes) <= spectral._LEVEL_CAP
+
+
 def test_winding_vanishes_above_the_axis():
     for seed in (2, 9, 23):
         coin = random_coin_field(1, seed=seed)
