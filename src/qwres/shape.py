@@ -48,6 +48,7 @@ from .lattice import (
 )
 from .spectral import (
     TWO_PI,
+    DeterminantFamily,
     KappaRect,
     NumericalFailure,
     Root,
@@ -714,12 +715,14 @@ def migration_scan(
                     f"{mu:.6f} for eps = {e}; the count would not be attributable"
                 )
             jobs.append((e, mu, half_re, half_im))
-    coins = {e: rebuild_family(fam, e).coin for e in eps_values}
+    # One family per eps: its loops share the matrix tables and the
+    # candidate eigenproblem.
+    families = {e: DeterminantFamily(rebuild_family(fam, e).coin) for e in eps_values}
 
     def run(job) -> MigrationRow:
         e, mu, half_re, half_im = job
         rect = KappaRect(mu - half_re, mu + half_re, -half_im, half_im)
-        roots = tuple(locate_roots(coins[e], rect))
+        roots = tuple(locate_roots(families[e], rect))
         return MigrationRow(e, mu, sum(r.multiplicity for r in roots), roots)
 
     threads = max(1, int(threads))

@@ -24,6 +24,19 @@ certified by the winding of D around a small contour, and the certified
 multiplicities must add up to the argument-principle winding around the
 whole rectangle.  Windings that refuse to settle to integers, and counts
 that disagree, raise NumericalFailure rather than being rounded.
+
+The windings use those candidates too (the deflated argument principle of
+Kravanja and Van Barel).  Around a rectangle the integrand is
+(log D)' - sum_k 1/(kappa - c_k) over the candidate copies c_k near the
+contour, which is smooth wherever the candidates are right, so a contour
+passing close to zeros no longer forces deep refinement; the copies
+strictly inside are added back to the count.  A bad candidate cannot change
+a count: a missing one leaves its zero's pole in the integrand, where the
+quadrature counts it as before, and a spurious one adds a pole whose
+winding cancels its own inside count.  It costs points, never correctness.
+A root's multiplicity is certified first on a small circle, where the
+trapezoid rule converges geometrically, and by a small rectangle only if
+the 16- and 32-point sums disagree.
 """
 
 from __future__ import annotations
@@ -197,6 +210,18 @@ class DeterminantFamily:
         self.trivial = not np.any(coeff)
         self._power_index = expo.astype(int)
         self._top = int(expo.max()) if expo.size else 0
+        self._candidates: Optional[np.ndarray] = None
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """The zeros of D modulo 2 pi from _zero_candidates, computed once.
+
+        Threads sharing a family may each solve the eigenproblem once; the
+        last answer stays, and all answers are the same.
+        """
+        if self._candidates is None:
+            self._candidates = _zero_candidates(self)
+        return self._candidates
 
     def matrices(self, kappas: np.ndarray) -> np.ndarray:
         """Stack of M(kappa), shape (len(kappas), m, m)."""
@@ -231,18 +256,23 @@ class DeterminantFamily:
             return out
         chunk = max(1, _CHUNK_ENTRIES // self.m**2)
         for lo in range(0, len(kappas), chunk):
-            mats = self.matrices(kappas[lo : lo + chunk])
-            try:
-                solved = np.linalg.solve(mats + np.eye(self.m), 1j * self.expo * mats)
-                out[lo : lo + chunk] = np.trace(solved, axis1=1, axis2=2)
-            except np.linalg.LinAlgError:
-                out[lo : lo + chunk] = np.inf
+            out[lo : lo + chunk] = self._dlog_stack(self.matrices(kappas[lo : lo + chunk]))
         return out
+
+    def _dlog_stack(self, mats: np.ndarray) -> np.ndarray:
+        """trace((I + M)^{-1} M') for a stack of M; all inf if some I + M is singular."""
+        try:
+            solved = np.linalg.solve(mats + np.eye(self.m), 1j * self.expo * mats)
+            return np.trace(solved, axis1=1, axis2=2)
+        except np.linalg.LinAlgError:
+            return np.full(len(mats), np.inf, dtype=complex)
 
     def det_dlog(self, kappa: complex) -> Tuple[complex, complex]:
         """(D(kappa), d/dkappa log D(kappa)); D may overflow deep in the strip."""
-        sign, logabs = np.linalg.slogdet(self.matrices(np.array([kappa]))[0] + np.eye(self.m))
-        return complex(sign * np.exp(logabs)), complex(self.dlogs(np.array([kappa]))[0])
+        mats = self.matrices(np.array([kappa]))
+        sign, logabs = np.linalg.slogdet(mats[0] + np.eye(self.m))
+        dlog = 0.0j if self.trivial or self.m == 0 else complex(self._dlog_stack(mats)[0])
+        return complex(sign * np.exp(logabs)), dlog
 
     def abs_det(self, kappa: complex) -> float:
         logabs, _ = self.logdet(np.array([kappa]))
@@ -270,29 +300,48 @@ class _EdgeTrouble(Exception):
 
 _SIMPSON_DEPTH = 48
 _EDGE_TOL = 2e-4
+_NO_POLES = np.empty(0, dtype=complex)
 
 
-def _contour_dlogs(fam: DeterminantFamily, kappas: np.ndarray) -> np.ndarray:
-    """(log D)' at one refinement level's new points, evaluated as one batch."""
+def _pole_sum(kappas: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """sum_k 1/(kappa - poles_k) at each kappa, in stacks of at most _CHUNK_ENTRIES terms."""
+    out = np.zeros(len(kappas), dtype=complex)
+    if poles.size:
+        chunk = max(1, _CHUNK_ENTRIES // poles.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, len(kappas), chunk):
+                out[lo : lo + chunk] = np.sum(1.0 / (kappas[lo : lo + chunk, None] - poles), axis=1)
+    return out
+
+
+def _contour_dlogs(fam: DeterminantFamily, kappas: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """(log D)' minus the poles' sum at one refinement level's new points, as one batch."""
     if len(kappas) > _LEVEL_CAP:
         raise _EdgeTrouble(f"adaptive contour integration needs {len(kappas)} points in one level")
-    values = fam.dlogs(kappas)
+    values = fam.dlogs(kappas) - _pole_sum(kappas, poles)
     if not np.all(np.isfinite(values)):
         raise _EdgeTrouble("determinant (near) zero on the contour")
     return values
 
 
-def _contour_dlog_integral(fam: DeterminantFamily, rect: KappaRect) -> complex:
-    """Integral of (log D)' counterclockwise around rect by adaptive Simpson.
+def _contour_dlog_integral(
+    fam: DeterminantFamily, rect: KappaRect, poles: np.ndarray = _NO_POLES
+) -> complex:
+    """Integral of (log D)' - sum_k 1/(kappa - poles_k) counterclockwise around rect.
 
     Integrating the logarithmic derivative instead of tracking arg D keeps
     long edges honest: the derivative is smooth wherever D is zero free, so
     a whole hidden turn of D between samples cannot alias away.  The seed
     panels of each edge are matched to the highest frequency e^{i kappa n}
-    present in the matrix family; refinement then concentrates near any
-    zeros close to the edge.  All panels are refined together, level by
-    level, each level's new points in one batch.  Raises _EdgeTrouble where
-    D vanishes on the contour or a level or the depth budget is exceeded.
+    present in the matrix family; adaptive Simpson refinement then
+    concentrates near any zeros close to the edge.  Subtracting the poles of
+    the zeros' candidates (the deflated argument principle) removes that
+    refinement wherever a candidate is right; where one is missing or
+    spurious, the unmatched pole is refined and integrated as any other.
+    With no poles this is the plain integral of (log D)'.  All panels are
+    refined together, level by level, each level's new points in one batch.
+    Raises _EdgeTrouble where the integrand is not finite on the contour or
+    a level or the depth budget is exceeded.
     """
     corners = rect.corners()
     e_max = max(1, fam._top)
@@ -306,13 +355,13 @@ def _contour_dlog_integral(fam: DeterminantFamily, rect: KappaRect) -> complex:
     z0, tol = np.concatenate(knots), np.concatenate(tols)
     z2 = np.roll(z0, -1)
     z1 = 0.5 * (z0 + z2)
-    f0, f1 = np.split(_contour_dlogs(fam, np.concatenate([z0, z1])), 2)
+    f0, f1 = np.split(_contour_dlogs(fam, np.concatenate([z0, z1]), poles), 2)
     f2 = np.roll(f0, -1)
     whole = (z2 - z0) / 6.0 * (f0 + 4.0 * f1 + f2)
     total = 0.0j
     for _ in range(_SIMPSON_DEPTH + 1):
         zl, zr = 0.5 * (z0 + z1), 0.5 * (z1 + z2)
-        fl, fr = np.split(_contour_dlogs(fam, np.concatenate([zl, zr])), 2)
+        fl, fr = np.split(_contour_dlogs(fam, np.concatenate([zl, zr]), poles), 2)
         left = (z1 - z0) / 6.0 * (f0 + 4.0 * fl + f1)
         right = (z2 - z1) / 6.0 * (f1 + 4.0 * fr + f2)
         err = left + right - whole
@@ -326,12 +375,12 @@ def _contour_dlog_integral(fam: DeterminantFamily, rect: KappaRect) -> complex:
     raise _EdgeTrouble("adaptive contour integration exhausted its depth budget")
 
 
-def _winding(fam: DeterminantFamily, rect: KappaRect) -> int:
-    total = _contour_dlog_integral(fam, rect)
+def _integer_turns(total: complex, contour) -> int:
+    """The winding a contour integral of (log D)' stands for, if it is clean."""
     # The real part is the change of log|D| around a closed loop, zero in
     # exact arithmetic; a drift means the quadrature cannot be trusted.
     if abs(total.real) > 0.02 * (1.0 + abs(total.imag)):
-        raise _EdgeTrouble(f"log|D| failed to close around {rect} (drift {total.real:.2e})")
+        raise _EdgeTrouble(f"log|D| failed to close around {contour} (drift {total.real:.2e})")
     turns = total.imag / TWO_PI
     nearest = round(turns)
     if abs(turns - nearest) > WINDING_INTEGER_TOL:
@@ -339,12 +388,25 @@ def _winding(fam: DeterminantFamily, rect: KappaRect) -> int:
     return int(nearest)
 
 
+def _winding(fam: DeterminantFamily, rect: KappaRect, poles: np.ndarray = _NO_POLES) -> int:
+    """Zeros of D inside rect: the deflated winding plus the poles strictly inside."""
+    inside = ((poles.real > rect.re_min) & (poles.real < rect.re_max)
+              & (poles.imag > rect.im_min) & (poles.imag < rect.im_max))
+    return _integer_turns(_contour_dlog_integral(fam, rect, poles), rect) + int(np.count_nonzero(inside))
+
+
 def winding_number(coin: CoinField, region: KappaRect) -> int:
     """Number of determinant zeros inside the rectangle, by argument principle.
 
-    If a zero sits (numerically) on the boundary, or the quadrature runs out
-    of its depth or level budget, the rectangle is expanded by a tiny amount
-    and retried; persistent trouble raises NumericalFailure.
+    The winding is deflated: the candidate zeros near the contour are
+    subtracted from (log D)' and those strictly inside added back to the
+    count.  A wrong candidate list cannot change the count, only its cost:
+    a zero without a candidate is integrated as a pole of the remainder,
+    and a candidate without a zero contributes a pole that winds -1 around
+    exactly the rectangles that count it inside.  If the integrand is not
+    finite on the boundary, or the quadrature runs out of its depth or
+    level budget, the rectangle is expanded by a tiny amount and retried;
+    persistent trouble raises NumericalFailure.
     """
     fam = coin if isinstance(coin, DeterminantFamily) else DeterminantFamily(coin)
     if fam.trivial:
@@ -353,7 +415,7 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     delta = max(1e-8, 1e-7 * max(region.width, region.height))
     for attempt in range(_BOUNDARY_RETRIES + 1):
         try:
-            return _winding(fam, rect)
+            return _winding(fam, rect, _deflation_poles(fam.candidates, rect))
         except _EdgeTrouble as trouble:
             last = trouble
             rect = region.expanded(delta * (attempt + 1))
@@ -363,12 +425,13 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
 
 
 _NEWTON_MAX_ITER = 60
-# Half-width of the contour that certifies a root's multiplicity.  Companion
-# eigenvalues closer than this share one contour, so they are grouped into
-# one root: a defective root of multiplicity m comes back as m eigenvalues
-# spread by about (machine epsilon)^(1/m), and distinct zeros that close
-# cannot be told apart by the certificate.  Newton may not move a group
-# farther than this either, or it could land on a zero counted elsewhere.
+# Radius of the circle (and half-width of the fallback square) that
+# certifies a root's multiplicity.  Companion eigenvalues closer than this
+# share one contour, so they are grouped into one root: a defective root of
+# multiplicity m comes back as m eigenvalues spread by about (machine
+# epsilon)^(1/m), and distinct zeros that close cannot be told apart by the
+# certificate.  Newton may not move a group farther than this either, or it
+# could land on a zero counted elsewhere.
 _VERIFY_RADIUS = 1e-6
 
 
@@ -393,15 +456,41 @@ def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
     return -np.angle(ys) + 1j * np.log(np.abs(ys))
 
 
-def _group_in_region(kappas: np.ndarray, rect: KappaRect) -> List[List[complex]]:
-    """Copies of the candidates in rect, one per period, grouped by proximity."""
+def _copies_in(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
+    """The copies z + 2 pi k of the candidates that lie in the closed rect."""
     copies = []
     for z in kappas[(kappas.imag >= rect.im_min) & (kappas.imag <= rect.im_max)]:
         first = int(np.ceil((rect.re_min - z.real) / TWO_PI))
         last = int(np.floor((rect.re_max - z.real) / TWO_PI))
         copies.extend(complex(z.real + TWO_PI * k, z.imag) for k in range(first, last + 1))
+    return np.array(copies, dtype=complex)
+
+
+# Candidate copies within this distance of a winding's rectangle are
+# deflated; zeros farther away cost the quadrature no refinement.
+_DEFLATION_MARGIN = 0.5
+# Copies closer than this to the boundary are not: a zero and its candidate
+# could then lie on either side of an edge, and the difference of their
+# poles is too narrow for the quadrature to see.  Left in (log D)', such a
+# zero is refined and counted as without deflation.
+_DEFLATION_GAP = 1e-7
+
+
+def _deflation_poles(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
+    """The candidate copies to subtract from (log D)' around rect."""
+    near = _copies_in(kappas, rect.expanded(_DEFLATION_MARGIN))
+    x, y, gap = near.real, near.imag, _DEFLATION_GAP
+    outside = ((x < rect.re_min - gap) | (x > rect.re_max + gap)
+               | (y < rect.im_min - gap) | (y > rect.im_max + gap))
+    inside = ((x > rect.re_min + gap) & (x < rect.re_max - gap)
+              & (y > rect.im_min + gap) & (y < rect.im_max - gap))
+    return near[outside | inside]
+
+
+def _group_in_region(kappas: np.ndarray, rect: KappaRect) -> List[List[complex]]:
+    """Copies of the candidates in rect, one per period, grouped by proximity."""
     groups: List[List[complex]] = []
-    for z in sorted(copies, key=lambda z: (z.real, z.imag)):
+    for z in sorted(_copies_in(kappas, rect).tolist(), key=lambda z: (z.real, z.imag)):
         for group in groups:
             if min(abs(z - w) for w in group) < _VERIFY_RADIUS:
                 group.append(z)
@@ -431,7 +520,36 @@ def _newton_root(fam: DeterminantFamily, z: complex, mult: int) -> Optional[comp
     return z if abs(step) < 1e-11 else None
 
 
+def _circle_dlog_integrals(fam: DeterminantFamily, center: complex, radius: float) -> np.ndarray:
+    """(log D)' integrated around a circle by the 16- and 32-point trapezoid rules.
+
+    The rule converges geometrically on a circle (Trefethen and Weideman,
+    SIAM Review 56, 2014), at a rate set by how close the nearest zero
+    comes to the circle, so the two sums agree unless a zero is close to
+    it.  The 16 points are every other one of the 32.
+    """
+    steps = radius * np.exp(1j * TWO_PI * np.arange(32) / 32)
+    with np.errstate(invalid="ignore"):
+        terms = 1j * steps * fam.dlogs(center + steps)
+        return np.array([terms[::2].sum() * (TWO_PI / 16), terms.sum() * (TWO_PI / 32)])
+
+
 def _verify_root(fam: DeterminantFamily, z: complex, mult: int) -> bool:
+    """Whether D has exactly mult zeros around z, counted with multiplicity.
+
+    The circle of radius _VERIFY_RADIUS decides if its 16- and 32-point
+    sums agree to WINDING_INTEGER_TOL turns (so a sum that is not finite
+    never decides) and the 32-point sum passes the winding checks with
+    mult turns.  Otherwise the plain winding around a square decides, on
+    up to three growing squares.
+    """
+    coarse, fine = _circle_dlog_integrals(fam, z, _VERIFY_RADIUS)
+    if abs(coarse - fine) <= TWO_PI * WINDING_INTEGER_TOL:
+        try:
+            if _integer_turns(fine, f"the circle around {z}") == mult:
+                return True
+        except _EdgeTrouble:
+            pass
     radius = _VERIFY_RADIUS
     for attempt in range(3):
         try:
@@ -460,7 +578,7 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
         return []
 
     roots: List[Root] = []
-    for group in _group_in_region(_zero_candidates(fam), rect):
+    for group in _group_in_region(fam.candidates, rect):
         mult = len(group)
         z = _newton_root(fam, complex(np.mean(group)), mult)
         if z is None or not _verify_root(fam, z, mult):
@@ -487,8 +605,13 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
             kappa = complex(re, kappa.imag)
         residual = fam.abs_det(kappa)
         if residual > ROOT_RESIDUAL_TOL:
+            # |D|/|D'| = 1/|(log D)'| is how far Newton's next step would go.
+            dlog = abs(fam.det_dlog(kappa)[1])
+            distance = 1.0 / dlog if dlog else float("inf")
             raise NumericalFailure(
-                f"root at {kappa} has residual |D| = {residual:.3e} above {ROOT_RESIDUAL_TOL:.0e}"
+                f"root at {kappa} has residual |D| = {residual:.3e} above {ROOT_RESIDUAL_TOL:.0e}; "
+                f"|D'| = {residual * dlog:.3e}, so the zero is about |D|/|D'| = {distance:.1e} "
+                f"away ({distance / np.spacing(abs(kappa)):.1f} ulps of kappa)"
             )
         roots.append(Root(kappa, mult, residual, kind))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwres import spectral
+from qwres import make_corner_family, spectral
 from qwres.lattice import (
     CHIRALITIES,
     DOWN,
@@ -339,6 +339,96 @@ def test_winding_attempt_fails_fast_within_the_level_cap(monkeypatch, im_max):
         count = None
     assert count in (None, 16)
     assert 0 < max(sizes) <= spectral._LEVEL_CAP
+
+
+def strip_cases():
+    """The one-corner 2x2 strip at eps 0.2 and random field 3 down to depth 0.5."""
+    return [
+        (make_corner_family(2, 2, 0.2, "one-corner").coin, spectral.default_strip()),
+        (random_coin_field(1, seed=3),
+         KappaRect(spectral.STRIP_SHIFT, spectral.STRIP_SHIFT + 2 * np.pi, -0.5, spectral.STRIP_IM_MAX)),
+    ]
+
+
+@pytest.mark.parametrize("bad", ["dropped", "spurious"])
+def test_deflated_winding_survives_bad_candidates(monkeypatch, bad):
+    # A wrong candidate list may cost points but never change the count: a
+    # zero without a candidate keeps its pole in the integrand, and a point
+    # that is no zero adds a pole that winds away its own inside count.
+    full = spectral._zero_candidates
+    spurious = 1.0 + 5e-7j  # inside the strip, 5e-7 below its top edge
+
+    def wrong(fam):
+        kappas = full(fam)
+        if bad == "dropped":
+            return np.delete(kappas, np.argmin(np.abs(kappas)))
+        return np.append(kappas, spurious)
+
+    monkeypatch.setattr(spectral, "_zero_candidates", wrong)
+    for coin, rect in strip_cases():
+        fam = DeterminantFamily(coin)
+        assert fam.abs_det(spurious) > 1.0
+        assert winding_number(fam, rect) == spectral._winding(fam, rect)
+
+
+@pytest.mark.parametrize("im_max", [0.0437, 0.031])
+def test_deflation_skips_a_candidate_next_to_an_edge(monkeypatch, im_max):
+    # The left edge passes 1e-9 inside the exact zero at pi/2, and the
+    # candidate sits 1e-9 outside it.  Subtracted and counted as outside, it
+    # would leave a remainder too narrow for the knots to see, and the zero
+    # would drop out of the count.
+    full = spectral._zero_candidates
+
+    def displaced(fam):
+        kappas = full(fam).copy()
+        kappas[np.argmin(np.abs(kappas - np.pi / 2))] = np.pi / 2 - 2e-9
+        return kappas
+
+    monkeypatch.setattr(spectral, "_zero_candidates", displaced)
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.6)))
+    rect = KappaRect(np.pi / 2 - 1e-9, np.pi / 2 + 0.5, -0.05, im_max)
+    assert winding_number(fam, rect) == 1
+
+
+def test_locate_roots_evaluates_few_points(monkeypatch):
+    # Deflation and the circle certificates keep the strip winding and the
+    # verifications to a few points per root; the plain adaptive windings
+    # needed 28,520 on this preset.
+    batch = DeterminantFamily.dlogs
+    points = []
+
+    def spy(self, kappas):
+        points.append(len(kappas))
+        return batch(self, kappas)
+
+    monkeypatch.setattr(DeterminantFamily, "dlogs", spy)
+    assert len(locate_roots(make_corner_family(2, 2, 0.2, "one-corner").coin)) == 16
+    assert sum(points) < 3000
+
+
+def test_verify_root_refuses_a_wrong_multiplicity():
+    fam = DeterminantFamily(make_corner_family(2, 2, 0.2, "one-corner").coin)
+    for root in locate_roots(fam):
+        assert spectral._verify_root(fam, root.kappa, root.multiplicity)
+        assert not spectral._verify_root(fam, root.kappa, root.multiplicity + 1)
+
+
+def test_verify_root_falls_back_to_the_square(monkeypatch):
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.0)))
+    roots = locate_roots(fam)
+    monkeypatch.setattr(spectral, "_circle_dlog_integrals",
+                        lambda fam, z, radius: np.array([np.nan, np.inf]))
+    for root in roots:
+        assert root.multiplicity == 2
+        assert spectral._verify_root(fam, root.kappa, 2)
+        assert not spectral._verify_root(fam, root.kappa, 1)
+    assert locate_roots(fam) == roots
+
+
+def test_residual_refusal_reports_the_distance_to_the_zero(monkeypatch):
+    monkeypatch.setattr(spectral, "ROOT_RESIDUAL_TOL", 1e-300)
+    with pytest.raises(NumericalFailure, match=r"\|D'\| = \S+, so the zero is about \|D\|/\|D'\| = "):
+        locate_roots(CoinField(1, one_corner_coins(0.6)))
 
 
 def test_winding_vanishes_above_the_axis():
