@@ -32,7 +32,7 @@ from .lattice import (
     Site,
     WalkOperator,
     WalkState,
-    apply_walk,
+    compress_walk,
     ray_meets_box,
 )
 from .spectral import TWO_PI, NumericalFailure
@@ -203,20 +203,7 @@ class InteriorSpectrum:
     def __init__(self, walk: NonPenetrableWalk):
         self.walk = walk
         n = walk.interior_dimension
-        matrix = np.zeros((n, n), dtype=complex)
-        leak = 0.0
-        for col, (site, j) in enumerate(walk.pairs):
-            pushed = apply_walk(walk.operator, WalkState.delta(site, j))
-            for target, amp in pushed.items():
-                for k in CHIRALITIES:
-                    a = amp[k]
-                    if a == 0:
-                        continue
-                    idx = walk._index.get((target, k))
-                    if idx is None:
-                        leak = max(leak, abs(a))
-                    else:
-                        matrix[idx, col] = a
+        matrix, leak = compress_walk(walk.operator, walk.pairs)
         self.leakage = leak
         if leak > _LEAK_TOL:
             raise NumericalFailure(

@@ -241,6 +241,29 @@ def apply_walk(op: WalkOperator, u: WalkState) -> WalkState:
     return WalkState._wrap(out)
 
 
+def compress_walk(op, pairs) -> Tuple[np.ndarray, float]:
+    """The walk compressed to the (site, chirality) pairs, and what it drops.
+
+    Column c of the matrix is one walk step applied to the delta on pairs[c],
+    read off on the pairs; leak is the largest amplitude of those steps that
+    lands outside them (0 exactly when the pairs span an invariant space).
+    """
+    index = {pair: i for i, pair in enumerate(pairs)}
+    matrix = np.zeros((len(pairs), len(pairs)), dtype=complex)
+    leak = 0.0
+    for col, (site, j) in enumerate(pairs):
+        for target, amp in apply_walk(op, WalkState.delta(site, j)).items():
+            for k in CHIRALITIES:
+                if amp[k] == 0:
+                    continue
+                row = index.get((target, k))
+                if row is None:
+                    leak = max(leak, abs(amp[k]))
+                else:
+                    matrix[row, col] = amp[k]
+    return matrix, leak
+
+
 def ray_meets_box(site: Site, chirality: int, box_radius: int) -> bool:
     """True when the forward ray from (site, chirality) meets the coin box."""
     x, y = site

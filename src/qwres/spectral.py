@@ -15,15 +15,16 @@ multiplicity by the winding of D.  Every entry of M is a constant times
 e^{i kappa n} for a positive integer n, which is what makes evaluation on
 batches of kappa cheap and the continuation to the lower half plane free.
 
-Root location uses that structure: D is the determinant of a matrix
-polynomial in e^{i kappa}, so all its zeros are eigenvalues of one
-block-companion matrix.  The eigenvalues that fall in the requested
-rectangle, one copy per period it spans, are grouped into clusters; each
-cluster is polished by a multiplicity-corrected Newton iteration and
-certified by the winding of D around a small contour, and the certified
-multiplicities must add up to the argument-principle winding around the
-whole rectangle.  Windings that refuse to settle to integers, and counts
-that disagree, raise NumericalFailure rather than being rounded.
+Root location uses the walk itself: compressed to the bounding box of the
+override sites it is a finite matrix A with D(kappa) = det(I - e^{i kappa} A),
+so the zeros of D are kappa = i log w over the nonzero eigenvalues w of A.
+The zeros that fall in the requested rectangle, one copy per period it
+spans, are grouped into clusters; each cluster is polished by a
+multiplicity-corrected Newton iteration and certified by the winding of D
+around a small contour, and the certified multiplicities must add up to the
+argument-principle winding around the whole rectangle.  Windings that refuse
+to settle to integers, and counts that disagree, raise NumericalFailure
+rather than being rounded.
 
 The windings use those candidates too (the deflated argument principle of
 Kravanja and Van Barel).  Around a rectangle the integrand is
@@ -46,7 +47,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .lattice import CHIRALITIES, STEPS, CoinField, WalkState
+from .lattice import CHIRALITIES, STEPS, CoinField, WalkState, compress_walk
 
 TWO_PI = 2.0 * np.pi
 
@@ -214,7 +215,7 @@ class DeterminantFamily:
 
     @property
     def candidates(self) -> np.ndarray:
-        """The zeros of D modulo 2 pi from _zero_candidates, computed once.
+        """The zeros of D modulo 2 pi, eigenvalues of the compressed walk, computed once.
 
         Threads sharing a family may each solve the eigenproblem once; the
         last answer stays, and all answers are the same.
@@ -426,8 +427,8 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
 
 _NEWTON_MAX_ITER = 60
 # Radius of the circle (and half-width of the fallback square) that
-# certifies a root's multiplicity.  Companion eigenvalues closer than this
-# share one contour, so they are grouped into one root: a defective root of
+# certifies a root's multiplicity.  Candidates closer than this share one
+# contour, so they are grouped into one root: a defective root of
 # multiplicity m comes back as m eigenvalues spread by about (machine
 # epsilon)^(1/m), and distinct zeros that close cannot be told apart by the
 # certificate.  Newton may not move a group farther than this either, or it
@@ -436,24 +437,22 @@ _VERIFY_RADIUS = 1e-6
 
 
 def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
-    """Every zero of D modulo 2 pi, from a block-companion eigenproblem.
+    """Every zero of D modulo 2 pi, from the walk compressed to the override box.
 
-    D(kappa) = det P(z) with P(z) = I + sum_n C_n z^n, z = e^{i kappa}, and
-    C_n the coefficients whose exponent is n.  The reversed polynomial
-    y^N P(1/y) in y = 1/z = e^{-i kappa} is monic, so the eigenvalues of its
-    companion matrix are all its finite zeros; y = 0 stands for z at
-    infinity and is dropped.  Real parts come back in [-pi, pi).
+    With A the walk compressed to all four chiralities on every site of the
+    bounding box of the override sites, identity sites included,
+    D(kappa) = det(I - e^{i kappa} A): along each line through the box the
+    free kernel is z (I - z S)^{-1} for a nilpotent shift S, and
+    det(I - z S) = 1.  So the zeros are kappa = i log w over the nonzero
+    eigenvalues w of A; real parts come back in [-pi, pi).
     """
-    m = fam.m
-    top = int(fam.expo.max())
-    comp = np.zeros((m * top, m * top), dtype=complex)
-    comp[: m * (top - 1), m:] = np.eye(m * (top - 1))
-    # Last block row: -[C_N, C_{N-1}, ..., C_1], the coefficients of y^0 .. y^{N-1}.
-    for k in range(top):
-        comp[m * (top - 1):, m * k : m * (k + 1)] = -np.where(fam.expo == top - k, fam.coeff, 0.0)
-    ys = np.linalg.eigvals(comp)
-    ys = ys[ys != 0]
-    return -np.angle(ys) + 1j * np.log(np.abs(ys))
+    sites = fam.coin.override_sites()
+    (lo1, lo2), (hi1, hi2) = np.min(sites, axis=0).tolist(), np.max(sites, axis=0).tolist()
+    box = [((x1, x2), j) for x1 in range(lo1, hi1 + 1) for x2 in range(lo2, hi2 + 1)
+           for j in CHIRALITIES]
+    ws = np.linalg.eigvals(compress_walk(fam.coin, box)[0])
+    ws = ws[ws != 0]
+    return -np.angle(ws) + 1j * np.log(np.abs(ws))
 
 
 def _copies_in(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
@@ -564,12 +563,12 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
 
     With no region the default strip (one period in Re kappa, Im kappa from
     -2 to just above the axis) is searched and real parts are reported in
-    [0, 2 pi).  Candidates are the eigenvalues of a block-companion matrix;
-    each group of coinciding candidates is refined by Newton and accepted
-    only once a small verification contour confirms its multiplicity, and
-    the multiplicities must add up to the winding of D around the region.
-    Anything that cannot be certified raises NumericalFailure instead of
-    degrading the answer silently.
+    [0, 2 pi).  Candidates come from the eigenvalues of the walk compressed
+    to the override box; each group of coinciding candidates is refined by
+    Newton and accepted only once a small verification contour confirms its
+    multiplicity, and the multiplicities must add up to the winding of D
+    around the region.  Anything that cannot be certified raises
+    NumericalFailure instead of degrading the answer silently.
     """
     fam = DeterminantFamily(coin) if not isinstance(coin, DeterminantFamily) else coin
     normalize = region is None
@@ -727,49 +726,30 @@ def resolvent_apply(coin: CoinField, kappa: complex, f: WalkState, radius: int) 
     statement even below the real axis, where u is the continued resolvent
     rather than an l2 function.
     """
-    fam = DeterminantFamily(coin)
-    m = fam.m
-    h = np.zeros(m, dtype=complex)
-    if m and not fam.trivial:
-        b = np.zeros(m, dtype=complex)
-        for row, (x, j) in enumerate(fam.pairs):
-            acc = 0.0j
-            for y, fvec in f.items():
-                if fvec[j] == 0:
-                    continue
-                n = _free_kernel_exponent(j, x, y)
-                if n is not None:
-                    acc += -np.exp(1j * kappa * n) * fvec[j]
-            b[row] = acc
-        mat = fam.matrices(np.array([kappa]))[0] + np.eye(m)
-        h = np.linalg.solve(mat, b)
 
-    sites = coin.override_sites()
+    def series(terms) -> complex:
+        expo, coeff = _kernel_series(terms)
+        return np.exp(1j * kappa * expo) @ coeff
+
+    fam = DeterminantFamily(coin)
+    h = np.zeros(fam.m, dtype=complex)
+    if not fam.trivial:
+        b = [series((j, x, y, fvec[j]) for y, fvec in f.items()) for x, j in fam.pairs]
+        h = np.linalg.solve(fam.matrices(np.array([kappa]))[0] + np.eye(fam.m), b)
+
+    # R f = R0 f - R0 (V chi* h): the sources are f and minus the coin
+    # increments applied to h, each pushed one step along its chirality.
+    sources = list(f.items())
     eye = np.eye(4)
-    pushed = []  # (site, chirality, amplitude) of V chi* h
-    for s, y in enumerate(sites):
-        delta = coin.coin_at(y) - eye
-        v = delta @ h[4 * s : 4 * s + 4]
-        for l in CHIRALITIES:
-            if v[l] != 0:
-                pushed.append(((y[0] + STEPS[l][0], y[1] + STEPS[l][1]), l, v[l]))
+    for s, y in enumerate(coin.override_sites()):
+        v = (coin.coin_at(y) - eye) @ h[4 * s : 4 * s + 4]
+        sources += [((y[0] + dx, y[1] + dy), -v[l] * eye[l]) for l, (dx, dy) in enumerate(STEPS)]
 
     amp = {}
     for x1 in range(-radius, radius + 1):
         for x2 in range(-radius, radius + 1):
             x = (x1, x2)
-            vec = np.zeros(4, dtype=complex)
-            for y, fvec in f.items():
-                for j in CHIRALITIES:
-                    if fvec[j] == 0:
-                        continue
-                    n = _free_kernel_exponent(j, x, y)
-                    if n is not None:
-                        vec[j] += -np.exp(1j * kappa * n) * fvec[j]
-            for y, l, a in pushed:
-                n = _free_kernel_exponent(l, x, y)
-                if n is not None:
-                    vec[l] -= -np.exp(1j * kappa * n) * a
+            vec = np.array([series((j, x, y, svec[j]) for y, svec in sources) for j in CHIRALITIES])
             if np.any(vec != 0):
                 amp[x] = vec
     return WalkState(amp)

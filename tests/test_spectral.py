@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwres import make_corner_family, spectral
+from qwres.elastic import random_permutation_coin
 from qwres.lattice import (
     CHIRALITIES,
     DOWN,
@@ -15,6 +16,7 @@ from qwres.lattice import (
     WalkOperator,
     WalkState,
     apply_walk,
+    compress_walk,
     random_coin_field,
 )
 from qwres.spectral import (
@@ -32,6 +34,7 @@ from qwres.spectral import (
     resolvent_matrix_element,
     winding_number,
 )
+from qwres.shape import CORNER_PRESETS
 
 FREE = WalkOperator(CoinField(0, {}))
 
@@ -208,6 +211,56 @@ def test_determinant_is_two_pi_periodic():
         la2, an2 = fam.logdet(np.array([kappa + 2 * np.pi]))
         assert la1[0] == pytest.approx(la2[0], abs=1e-10)
         assert np.angle(np.exp(1j * (an1[0] - an2[0]))) == pytest.approx(0.0, abs=1e-10)
+
+
+def box_walk_det_dlog(coin, kappa):
+    """(det(I - zA), -i (tr (I - zA)^{-1} - n)) at z = e^{i kappa}.
+
+    A is the walk compressed to all four chiralities on the bounding box of
+    the override sites, an n x n matrix; this engine never sees the free
+    kernels or M(kappa).
+    """
+    xs, ys = zip(*coin.override_sites())
+    box = [((x1, x2), j) for x1 in range(min(xs), max(xs) + 1)
+           for x2 in range(min(ys), max(ys) + 1) for j in CHIRALITIES]
+    a, _ = compress_walk(coin, box)
+    b = np.eye(len(box)) - np.exp(1j * kappa) * a
+    return np.linalg.det(b), -1j * (np.trace(np.linalg.inv(b)) - len(box))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coin=st.one_of(
+        st.builds(lambda r, seed, density: random_coin_field(r, seed=seed, density=density),
+                  st.integers(1, 2), st.integers(0, 2**16), st.floats(0.5, 1.0)),
+        st.builds(lambda m0, n0, eps, preset: make_corner_family(m0, n0, eps, preset).coin,
+                  st.integers(1, 3), st.integers(1, 3), st.floats(0.0, 1.0),
+                  st.sampled_from(CORNER_PRESETS)),
+    ),
+    re=st.floats(0.0, 2 * np.pi),
+    im=st.floats(-0.5, 0.5),
+)
+def test_determinant_equals_the_box_walk_determinant(coin, re, im):
+    # D(kappa) = det(I + M(kappa)) = det(I - e^{i kappa} A): two engines, the
+    # free kernels against the walk itself, in value and log-derivative.
+    assume(not coin.is_identity())
+    kappa = complex(re, im)
+    d, dlog = DeterminantFamily(coin).det_dlog(kappa)
+    assume(abs(d) > 1e-4)
+    d_box, dlog_box = box_walk_det_dlog(coin, kappa)
+    assert d_box == pytest.approx(d, rel=1e-8)
+    assert dlog_box == pytest.approx(dlog, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_elastic_candidates_stay_on_the_axis(seed):
+    # An elastic field traps amplitude only on closed orbits, so every zero
+    # of D has |w| = 1.  A candidate inside the strip below the axis is
+    # spurious: no Newton run certifies it, and locate_roots refuses the
+    # whole field.
+    fam = DeterminantFamily(random_permutation_coin(2, seed).to_coin_field())
+    im = fam.candidates.imag
+    assert not np.any((im > -3.0) & (im < -1e-8))
 
 
 # ---------------------------------------------------------------------------
