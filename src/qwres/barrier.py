@@ -35,7 +35,7 @@ from .lattice import (
     compress_walk,
     ray_meets_box,
 )
-from .spectral import TWO_PI, NumericalFailure
+from .spectral import TWO_PI, KappaRect, NumericalFailure
 from .translation import translation_weight
 
 # Full mirror: swaps left with right and down with up.  It satisfies the
@@ -243,8 +243,7 @@ class InteriorSpectrum:
         return len(self.eigenphases)
 
     def multiplicity_of(self, mu0: float, tol: float = 1e-8) -> int:
-        gap = np.abs((self.eigenphases - mu0 + np.pi) % TWO_PI - np.pi)
-        return int(np.sum(gap <= tol))
+        return int(np.sum(self.phase_distance(mu0) <= tol))
 
     def phase_distance(self, mu0: float) -> np.ndarray:
         return np.abs((self.eigenphases - mu0 + np.pi) % TWO_PI - np.pi)
@@ -315,51 +314,8 @@ def green_apply(
     return walk.vector_to_state(out)
 
 
-@dataclass(frozen=True)
-class ContourLoop:
-    """Rectangular counterclockwise loop in the kappa plane.
-
-    For the scaling family the half widths are a * eps^s horizontally and
-    b * eps^s vertically around a real center.
-    """
-
-    center: complex
-    half_re: float
-    half_im: float
-
-    def __post_init__(self):
-        if self.half_re <= 0 or self.half_im <= 0:
-            raise ValueError(f"loop half widths must be positive, got {self}")
-
-    @staticmethod
-    def for_scale(mu0: float, eps: float, s: float = 0.5, a: float = 1.0, b: float = 1.0) -> "ContourLoop":
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if not 0.0 < s:
-            raise ValueError(f"the contour exponent must be positive, got s={s}")
-        r = eps**s
-        return ContourLoop(complex(mu0), a * r, b * r)
-
-    def corners(self) -> Tuple[complex, complex, complex, complex]:
-        c, hr, hi = self.center, self.half_re, self.half_im
-        return (c - hr - 1j * hi, c + hr - 1j * hi, c + hr + 1j * hi, c - hr + 1j * hi)
-
-    def boundary_points(self, n: int) -> np.ndarray:
-        """At least n points along the loop, counterclockwise, corners included."""
-        per_side = max(1, int(np.ceil(n / 4)))
-        corners = self.corners()
-        points = []
-        for i in range(4):
-            a, b = corners[i], corners[(i + 1) % 4]
-            ts = np.arange(per_side) / per_side
-            points.append(a + (b - a) * ts)
-        return np.concatenate(points)
-
-    def contains(self, z: complex) -> bool:
-        return (
-            abs(z.real - self.center.real) <= self.half_re
-            and abs(z.imag - self.center.imag) <= self.half_im
-        )
+# The rectangle type under its old name, which qwbench and older callers import.
+ContourLoop = KappaRect
 
 
 def norm_on_loop(
@@ -378,14 +334,12 @@ def norm_on_loop(
     eigenphase other than mu0 inside the loop makes the scaling regime
     meaningless, so that raises instead of returning a number.
     """
-    loop = ContourLoop.for_scale(mu0, eps, s, a, b)
-    others = iu.phase_distance(mu0) > 1e-8
-    intruding = np.abs(
-        (iu.eigenphases[others] - mu0 + np.pi) % TWO_PI - np.pi
-    ) <= loop.half_re
-    if np.any(intruding):
+    loop = KappaRect.for_scale(mu0, eps, s, a, b)
+    half_width = a * eps**s
+    distance = iu.phase_distance(mu0)
+    if np.any(distance[distance > 1e-8] <= half_width):
         raise NumericalFailure(
-            f"another eigenphase lies inside the loop of half width {loop.half_re:.3e} "
+            f"another eigenphase lies inside the loop of half width {half_width:.3e} "
             f"around mu0 = {mu0}"
         )
     kappas = loop.boundary_points(max(64, samples))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -56,7 +55,6 @@ from .shape import (
     make_corner_family,
     make_shape_family,
     migration_scan,
-    rebuild_family,
 )
 from .spectral import (
     STRIP_IM_MAX,
@@ -66,6 +64,7 @@ from .spectral import (
     KappaRect,
     NumericalFailure,
     locate_roots,
+    root_reported_at,
 )
 
 MODEL_PRESETS = (
@@ -470,20 +469,6 @@ def _root_obj(root) -> Dict[str, object]:
     }
 
 
-def _reissue(root, fam: DeterminantFamily, kappa: complex):
-    """Move a root to the reported kappa, re-measuring the determinant there.
-
-    Reporting can shift the real part by whole periods or into the frame of
-    a loop center, and the shifted float is not bit-identical to the located
-    root, so the residual is re-evaluated at the value actually emitted.
-    Anyone re-checking |D(kappa)| from the output then reproduces a number
-    bounded by the reported residual.
-    """
-    value, _ = fam.det_dlog(kappa)
-    residual = max(float(root.residual), abs(value))
-    return dataclasses.replace(root, kappa=kappa, residual=residual)
-
-
 def _orbit_obj(orbit: ClosedOrbit) -> Dict[str, object]:
     return {
         "period": orbit.period,
@@ -571,7 +556,7 @@ def _run_resonances(cfg):
     else:
         region = KappaRect(STRIP_SHIFT, STRIP_SHIFT + TWO_PI, -cfg["strip_depth"], STRIP_IM_MAX)
     roots = [
-        _reissue(r, fam, complex(r.kappa.real % TWO_PI, r.kappa.imag))
+        root_reported_at(r, fam, complex(r.kappa.real % TWO_PI, r.kappa.imag))
         for r in locate_roots(fam, region=region)
     ]
     roots = sorted(roots, key=lambda r: (r.kappa.real, r.kappa.imag))
@@ -625,21 +610,14 @@ def _scan_output(fam, cfg):
         ("eps", "mu0", "count", "root_re", "root_im", "w_abs", "dist_to_mu0")
     ]
     records = []
-    families: Dict[float, DeterminantFamily] = {}
     for row in scan:
-        if row.eps not in families:
-            families[row.eps] = DeterminantFamily(rebuild_family(fam, row.eps).coin)
-        reported = []
-        for root in sorted(row.roots, key=lambda r: (r.kappa.real, r.kappa.imag)):
-            re = row.mu0 + ((root.kappa.real - row.mu0 + math.pi) % TWO_PI) - math.pi
-            reported.append(_reissue(root, families[row.eps], complex(re, root.kappa.imag)))
         records.append({
             "eps": row.eps,
             "mu0": row.mu0,
             "count": int(row.count),
-            "roots": [_root_obj(r) for r in reported],
+            "roots": [_root_obj(r) for r in row.roots],
         })
-        for root in reported:
+        for root in row.roots:
             dist = math.hypot(root.kappa.real - row.mu0, root.kappa.imag)
             rows.append((row.eps, row.mu0, int(row.count), root.kappa.real,
                          root.kappa.imag, math.exp(root.kappa.imag), dist))

@@ -23,6 +23,10 @@ CHIRALITY_NAMES = ("left", "right", "down", "up")
 
 # Lattice displacement of each component under one shift.
 STEPS: Tuple[Site, ...] = ((-1, 0), (1, 0), (0, -1), (0, 1))
+# The coordinate each component moves along (0 for x1, 1 for x2) and the sign
+# of its step there.
+STEP_AXIS: Tuple[int, ...] = tuple(0 if dx else 1 for dx, _ in STEPS)
+STEP_SIGN: Tuple[int, ...] = tuple(dx + dy for dx, dy in STEPS)
 
 UNITARITY_TOL = 1e-12
 

@@ -20,23 +20,24 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .barrier import (
     TRIVIAL_WALL_COIN,
     BarrierSpec,
-    NonPenetrableWalk,
     build_nonpenetrable,
     interior_spectrum,
     wall_sites,
 )
-from .elastic import PermutationCoin
+from .elastic import PermutationCoin, trace_trajectory
 from .lattice import (
+    CHIRALITIES,
     DOWN,
     LEFT,
     RIGHT,
+    STEP_AXIS,
     STEPS,
     UP,
     CoinField,
@@ -57,8 +58,9 @@ from .spectral import (
     projection_element,
     resolvent_apply,
     resolvent_matrix_element,
+    root_reported_at,
 )
-from .translation import OutgoingState, apply_T_theta
+from .translation import OutgoingState, apply_T_theta, translation_weight
 
 PLUS = "plus"
 MINUS = "minus"
@@ -206,14 +208,15 @@ class CornerFamily:
         )
 
 
-def _rotate_columns(mat: np.ndarray, col_a: int, col_b: int, eps: float) -> np.ndarray:
+def _givens_pair(col_a: int, col_b: int, eps: float) -> np.ndarray:
+    """Rotation of strength eps in the (col_a, col_b) plane; a right factor mixes those columns."""
     c = math.sqrt(1.0 - eps * eps)
-    out = mat.copy()
-    a = mat[:, col_a].copy()
-    b = mat[:, col_b].copy()
-    out[:, col_a] = c * a + eps * b
-    out[:, col_b] = -eps * a + c * b
-    return out
+    g = np.eye(4, dtype=complex)
+    g[col_a, col_a] = c
+    g[col_b, col_b] = c
+    g[col_b, col_a] = eps
+    g[col_a, col_b] = -eps
+    return g
 
 
 def make_corner_family(
@@ -234,10 +237,10 @@ def make_corner_family(
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     coins = elastic_corner_coins(m0, n0)
     if preset == "one-corner":
-        coins[(0, 0)] = _rotate_columns(coins[(0, 0)], LEFT, UP, eps)
+        coins[(0, 0)] = coins[(0, 0)] @ _givens_pair(LEFT, UP, eps)
     elif preset == "two-corner":
-        coins[(0, 0)] = _rotate_columns(coins[(0, 0)], LEFT, UP, eps)
-        coins[(m0, 0)] = _rotate_columns(coins[(m0, 0)], RIGHT, UP, eps)
+        coins[(0, 0)] = coins[(0, 0)] @ _givens_pair(LEFT, UP, eps)
+        coins[(m0, 0)] = coins[(m0, 0)] @ _givens_pair(RIGHT, UP, eps)
     elif preset == "phase-corner":
         phi = 2.0 * math.asin(eps / 2.0)
         coins[(0, 0)] = coins[(0, 0)].copy()
@@ -250,34 +253,17 @@ def make_corner_family(
 def circulation_slots(m0: int, n0: int, circulation: str) -> Tuple[Tuple[Site, int], ...]:
     """The (site, chirality) pairs visited by one circulation, in step order.
 
-    Consecutive slots satisfy ``site[t+1] = site[t] + step(chirality[t+1])``,
-    wrapping around after ``2 (m0 + n0)`` steps.
+    They are the closed orbit of the closed model's classical particle
+    through the origin, arriving there as a left mover for ``plus`` (which
+    climbs the left edge first) and as a down mover for ``minus`` (which
+    runs along the bottom first).  Consecutive slots satisfy
+    ``site[t+1] = site[t] + step(chirality[t+1])``, wrapping around after
+    ``2 (m0 + n0)`` steps.
     """
-    if circulation == PLUS:
-        slots = [((0, 0), LEFT)]
-        slots += [((0, t), UP) for t in range(1, n0 + 1)]
-        slots += [((t - n0, n0), RIGHT) for t in range(n0 + 1, n0 + m0 + 1)]
-        slots += [
-            ((m0, 2 * n0 + m0 - t), DOWN) for t in range(n0 + m0 + 1, 2 * n0 + m0 + 1)
-        ]
-        slots += [
-            ((2 * (n0 + m0) - t, 0), LEFT)
-            for t in range(2 * n0 + m0 + 1, 2 * (n0 + m0))
-        ]
-    elif circulation == MINUS:
-        slots = [((0, 0), DOWN)]
-        slots += [((t, 0), RIGHT) for t in range(1, m0 + 1)]
-        slots += [((m0, t - m0), UP) for t in range(m0 + 1, m0 + n0 + 1)]
-        slots += [
-            ((2 * m0 + n0 - t, n0), LEFT) for t in range(m0 + n0 + 1, 2 * m0 + n0 + 1)
-        ]
-        slots += [
-            ((0, 2 * (m0 + n0) - t), DOWN)
-            for t in range(2 * m0 + n0 + 1, 2 * (m0 + n0))
-        ]
-    else:
+    starts = {PLUS: LEFT, MINUS: DOWN}
+    if circulation not in starts:
         raise ValueError(f"circulation must be {PLUS!r} or {MINUS!r}, got {circulation!r}")
-    return tuple(slots)
+    return trace_trajectory(corner_permutation_field(m0, n0), (0, 0), starts[circulation]).states
 
 
 def _slot_entries(fam: CornerFamily, slots) -> list:
@@ -351,24 +337,6 @@ def _amplitudes_around(slots, entries, kappa: complex) -> list:
     return values
 
 
-_OUT_CHIRALITIES = {
-    "origin": (LEFT, DOWN),
-    "bottom_right": (RIGHT, DOWN),
-    "top_right": (RIGHT, UP),
-    "top_left": (LEFT, UP),
-}
-
-
-def _corner_out_chiralities(m0: int, n0: int) -> Dict[Site, Tuple[int, int]]:
-    a, b, c, d = corner_sites(m0, n0)
-    return {
-        a: _OUT_CHIRALITIES["origin"],
-        b: _OUT_CHIRALITIES["bottom_right"],
-        c: _OUT_CHIRALITIES["top_right"],
-        d: _OUT_CHIRALITIES["top_left"],
-    }
-
-
 def _loop_eigenstate(slots, values) -> WalkState:
     amp: Dict[Site, np.ndarray] = {}
     for (site, chir), val in zip(slots, values):
@@ -390,43 +358,28 @@ def _resonant_state(fam: CornerFamily, slots, values, kappa: complex) -> Outgoin
 
     for (site, chir), val in zip(slots, values):
         add(site, chir, val)
-    out_dirs = _corner_out_chiralities(fam.m0, fam.n0)
-    tails: Dict[int, Dict[int, complex]] = {LEFT: {}, RIGHT: {}, DOWN: {}, UP: {}}
+    tails: List[Dict[int, complex]] = [{} for _ in CHIRALITIES]
     for (site, chir), val in zip(slots, values):
-        dirs = out_dirs.get(site)
-        if dirs is None:
-            continue
         coin = fam.coin.coin_at(site)
-        for j in dirs:
+        for j, step in enumerate(STEPS):
+            # Amplitude escapes along the steps that leave the rectangle; off
+            # the corners the identity coin sends none that way.
+            target = (site[0] + step[0], site[1] + step[1])
+            if 0 <= target[0] <= fam.m0 and 0 <= target[1] <= fam.n0:
+                continue
             emitted = complex(coin[j, chir]) * val
             if abs(emitted) < 1e-15:
                 continue
-            # Offset of the emitting corner rewritten in the normal form the
-            # outgoing-state tails use, where rays are indexed from the box.
-            if j == LEFT:
-                key, coeff = site[1], emitted * cmath.exp(1j * kappa * site[0])
-            elif j == RIGHT:
-                key, coeff = site[1], emitted * cmath.exp(-1j * kappa * site[0])
-            elif j == DOWN:
-                key, coeff = site[0], emitted * cmath.exp(1j * kappa * site[1])
-            else:
-                key, coeff = site[0], emitted * cmath.exp(-1j * kappa * site[1])
-            tails[j][key] = tails[j].get(key, 0j) + coeff
-            step = STEPS[j]
+            # The tail coefficient is the emitted amplitude with the phase of
+            # the emitting corner's coordinate along the ray taken out.
+            key = site[1 - STEP_AXIS[j]]
+            tails[j][key] = tails[j].get(key, 0j) + emitted * translation_weight(kappa, site, j)
             for n in range(1, 2 * dilated + 2):
                 ray_site = (site[0] + n * step[0], site[1] + n * step[1])
                 if max(abs(ray_site[0]), abs(ray_site[1])) > dilated:
                     break
                 add(ray_site, j, emitted * phase ** n)
-    return OutgoingState(
-        kappa,
-        box,
-        WalkState(amp),
-        tail_left=tails[LEFT],
-        tail_right=tails[RIGHT],
-        tail_down=tails[DOWN],
-        tail_up=tails[UP],
-    )
+    return OutgoingState(kappa, box, WalkState(amp), *tails)
 
 
 def corner_quantization(fam: CornerFamily) -> QuantizationData:
@@ -482,16 +435,6 @@ def corner_quantization(fam: CornerFamily) -> QuantizationData:
                 kind = "resonance"
             modes.append(CornerMode(circulation, k, kappa, w, kind, state))
     return QuantizationData(factors[PLUS], factors[MINUS], fam.period, tuple(modes))
-
-
-def _givens_pair(col_a: int, col_b: int, eps: float) -> np.ndarray:
-    c = math.sqrt(1.0 - eps * eps)
-    g = np.eye(4, dtype=complex)
-    g[col_a, col_a] = c
-    g[col_b, col_b] = c
-    g[col_b, col_a] = eps
-    g[col_a, col_b] = -eps
-    return g
 
 
 class ShapeFamily:
@@ -649,7 +592,7 @@ def rebuild_family(fam, eps: float):
 
 @dataclass(frozen=True)
 class MigrationRow:
-    """Root count inside one loop of one scan step."""
+    """Root count inside one loop of one scan step, roots in the loop center's frame."""
 
     eps: float
     mu0: float
@@ -676,6 +619,8 @@ def migration_scan(
     raises ValueError, since a count over such a loop could not be
     attributed to a single unperturbed phase.  Rows come back ordered by
     ``eps`` first and center second, regardless of the thread count.
+    Each root's real part is reported within pi of its loop center, with
+    the residual re-measured at that value (see ``root_reported_at``).
 
     The default half-width factor 0.5 keeps loops on the natural grids
     disjoint (clusters of closed-spectrum phases are spaced at least
@@ -696,7 +641,6 @@ def migration_scan(
     jobs = []
     for e in eps_values:
         half_re = a * e ** s
-        half_im = b * e ** s
         for i, mu in enumerate(centers):
             for other in centers[i + 1:]:
                 if _circle_distance(mu, other) <= 2.0 * half_re:
@@ -714,16 +658,18 @@ def migration_scan(
                     f"{len(inside)} closed-spectrum phases inside the loop at "
                     f"{mu:.6f} for eps = {e}; the count would not be attributable"
                 )
-            jobs.append((e, mu, half_re, half_im))
+            jobs.append((e, mu))
     # One family per eps: its loops share the matrix tables and the
     # candidate eigenproblem.
     families = {e: DeterminantFamily(rebuild_family(fam, e).coin) for e in eps_values}
 
     def run(job) -> MigrationRow:
-        e, mu, half_re, half_im = job
-        rect = KappaRect(mu - half_re, mu + half_re, -half_im, half_im)
-        roots = tuple(locate_roots(families[e], rect))
-        return MigrationRow(e, mu, sum(r.multiplicity for r in roots), roots)
+        e, mu = job
+        roots = []
+        for root in locate_roots(families[e], KappaRect.for_scale(mu, e, s, a, b)):
+            re = mu + ((root.kappa.real - mu + math.pi) % TWO_PI) - math.pi
+            roots.append(root_reported_at(root, families[e], complex(re, root.kappa.imag)))
+        return MigrationRow(e, mu, sum(r.multiplicity for r in roots), tuple(roots))
 
     threads = max(1, int(threads))
     if threads == 1:
@@ -843,15 +789,10 @@ def projection_difference(
     and the sealed value is subtracted from the open one.  As ``eps``
     shrinks the difference is expected to shrink like ``eps^s`` in norm.
     """
-    eps = fam.eps
-    if eps <= 0:
+    if fam.eps <= 0:
         raise ValueError("the projection difference needs eps > 0 to size its loop")
-    if s <= 0:
-        raise ValueError(f"the loop exponent s must be positive, got {s}")
     mu0 = float(mu0)
-    half_re = a * eps ** s
-    half_im = b * eps ** s
-    loop = KappaRect(mu0 - half_re, mu0 + half_re, -half_im, half_im)
+    loop = KappaRect.for_scale(mu0, fam.eps, s, a, b)
     opened = projection_element(fam.coin, complex(mu0), loop, f, g)
     sealed = projection_element(_closed_coin(fam), complex(mu0), loop, f, g)
     return opened - sealed

@@ -42,12 +42,12 @@ the 16- and 32-point sums disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .lattice import CHIRALITIES, STEPS, CoinField, WalkState, compress_walk
+from .lattice import CHIRALITIES, STEP_AXIS, STEP_SIGN, STEPS, CoinField, WalkState, compress_walk
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,22 +71,17 @@ _CHUNK_ENTRIES = 1 << 16
 # Expanded rectangles winding_number tries after the requested one.
 _BOUNDARY_RETRIES = 3
 
-# The half coordinate a chirality component moves along (x1 horizontal,
-# x2 vertical) and the side of the diagonal its free kernel lives on.
-_KERNEL_AXIS = (0, 0, 1, 1)
-_KERNEL_SENSE = (+1, -1, +1, -1)
-
 
 class NumericalFailure(RuntimeError):
     """A spectral computation could not certify its own answer."""
 
 
 def _free_kernel_exponent(j: int, x: Tuple[int, int], y: Tuple[int, int]) -> Optional[int]:
-    """Exponent n with G_j(x, y) = -e^{i kappa n}, or None off the support."""
-    axis = _KERNEL_AXIS[j]
+    """Exponent n with G_j(x, y) = -e^{i kappa n}, or None unless y is d >= 0 steps behind x."""
+    axis = STEP_AXIS[j]
     if x[1 - axis] != y[1 - axis]:
         return None
-    d = _KERNEL_SENSE[j] * (y[axis] - x[axis])
+    d = STEP_SIGN[j] * (x[axis] - y[axis])
     if d < 0:
         return None
     return d + 1
@@ -146,6 +141,26 @@ class KappaRect:
     def around(z: complex, half_width: float, half_height: Optional[float] = None) -> "KappaRect":
         hh = half_width if half_height is None else half_height
         return KappaRect(z.real - half_width, z.real + half_width, z.imag - hh, z.imag + hh)
+
+    @staticmethod
+    def for_scale(mu0: float, eps: float, s: float = 0.5, a: float = 1.0, b: float = 1.0) -> "KappaRect":
+        """The loop of half-width a eps^s and half-height b eps^s around the real mu0."""
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if not 0.0 < s:
+            raise ValueError(f"the contour exponent must be positive, got s={s}")
+        r = eps**s
+        return KappaRect(mu0 - a * r, mu0 + a * r, -b * r, b * r)
+
+    def boundary_points(self, n: int) -> np.ndarray:
+        """At least n points along the boundary, counterclockwise, corners included."""
+        per_side = max(1, int(np.ceil(n / 4)))
+        corners = self.corners()
+        ts = np.arange(per_side) / per_side
+        return np.concatenate([a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])])
+
+    def contains(self, z: complex) -> bool:
+        return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
 
 
 def default_strip() -> KappaRect:
@@ -280,19 +295,22 @@ class DeterminantFamily:
         return float(np.exp(logabs[0]))
 
 
-def interaction_index(coin: CoinField) -> Tuple[Tuple[Tuple[int, int], int], ...]:
-    """Row/column labels (site, chirality) of the interaction matrix."""
-    return DeterminantFamily(coin).pairs
-
-
-def interaction_matrix(coin: CoinField, kappa: complex) -> np.ndarray:
-    """The compressed matrix M(kappa) on the override pairs."""
-    return DeterminantFamily(coin).matrices(np.array([kappa]))[0]
-
-
 def det_value(coin: CoinField, kappa: complex) -> Tuple[complex, complex]:
     """(D(kappa), d log D / d kappa) at a single point."""
     return DeterminantFamily(coin).det_dlog(kappa)
+
+
+def root_reported_at(root: Root, fam: DeterminantFamily, kappa: complex) -> Root:
+    """Move a root to the reported kappa, re-measuring the determinant there.
+
+    Reporting can shift the real part by whole periods or into the frame of
+    a loop center, and the shifted float is not bit-identical to the located
+    root, so the residual is re-evaluated at the value actually emitted.
+    Anyone re-checking |D(kappa)| from the output then reproduces a number
+    bounded by the reported residual.
+    """
+    value, _ = fam.det_dlog(kappa)
+    return replace(root, kappa=kappa, residual=max(float(root.residual), abs(value)))
 
 
 class _EdgeTrouble(Exception):

@@ -23,30 +23,16 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .lattice import (
-    CHIRALITIES,
-    DOWN,
-    LEFT,
-    RIGHT,
-    STEPS,
-    UP,
-    CoinField,
-    WalkOperator,
-    WalkState,
-    apply_walk,
-)
-
-# Sign s_j in the weight e^{s_j * i * theta * coordinate}: the coordinate is
-# x1 for horizontal movers and x2 for vertical ones.
-_WEIGHT_SIGN = {LEFT: +1, RIGHT: -1, DOWN: +1, UP: -1}
-_WEIGHT_AXIS = {LEFT: 0, RIGHT: 0, DOWN: 1, UP: 1}
+from .lattice import CHIRALITIES, STEP_AXIS, STEP_SIGN, WalkOperator, WalkState, apply_walk
 
 
 def translation_weight(theta: complex, site, chirality: int) -> complex:
-    """The diagonal weight of T(theta) on one (site, chirality) amplitude."""
-    return complex(
-        np.exp(1j * theta * _WEIGHT_SIGN[chirality] * site[_WEIGHT_AXIS[chirality]])
-    )
+    """The diagonal weight of T(theta) on one (site, chirality) amplitude.
+
+    It is e^{-i theta s x}, with x the coordinate the chirality moves along
+    and s the sign of its step.
+    """
+    return complex(np.exp(1j * theta * -STEP_SIGN[chirality] * site[STEP_AXIS[chirality]]))
 
 
 def apply_T_theta(theta: complex, u: WalkState) -> WalkState:
@@ -149,25 +135,16 @@ class OutgoingState:
         amp: Dict[tuple, np.ndarray] = {}
         for site, vec in self.core.items():
             amp[site] = vec.copy()
-        if radius > r1:
-            k = self.kappa
-
-            def put(site, j, value):
-                v = amp.setdefault(site, np.zeros(4, dtype=complex))
-                v[j] += value
-
-            for x2, a in self.tails[LEFT].items():
-                for x1 in range(-radius, -r1):
-                    put((x1, x2), LEFT, a * np.exp(-1j * k * x1))
-            for x2, a in self.tails[RIGHT].items():
-                for x1 in range(r1 + 1, radius + 1):
-                    put((x1, x2), RIGHT, a * np.exp(1j * k * x1))
-            for x1, a in self.tails[DOWN].items():
-                for x2 in range(-radius, -r1):
-                    put((x1, x2), DOWN, a * np.exp(-1j * k * x2))
-            for x1, a in self.tails[UP].items():
-                for x2 in range(r1 + 1, radius + 1):
-                    put((x1, x2), UP, a * np.exp(1j * k * x2))
+        for j, tail in enumerate(self.tails):
+            # Past the dilated box the ray of chirality j holds tail * e^{i kappa s t}
+            # at coordinate t along its axis, s the sign of its step.
+            sign = STEP_SIGN[j]
+            ts = range(-radius, -r1) if sign < 0 else range(r1 + 1, radius + 1)
+            for offset, a in tail.items():
+                for t in ts:
+                    site = (t, offset) if STEP_AXIS[j] == 0 else (offset, t)
+                    vec = amp.setdefault(site, np.zeros(4, dtype=complex))
+                    vec[j] += a * np.exp(sign * 1j * self.kappa * t)
         return WalkState(amp)
 
 

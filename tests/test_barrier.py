@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qwres
 from qwres.barrier import (
     BarrierSpec,
     ContourLoop,
@@ -25,7 +26,7 @@ from qwres.lattice import (
     WalkState,
     random_unitary_coin,
 )
-from qwres.spectral import NumericalFailure, default_strip, winding_number
+from qwres.spectral import KappaRect, NumericalFailure, default_strip, winding_number
 from qwres.translation import translation_weight
 
 TWO_PI = 2.0 * np.pi
@@ -213,11 +214,25 @@ def test_contour_loop_validation():
     with pytest.raises(ValueError):
         ContourLoop.for_scale(0.0, 0.1, s=0.0)
     loop = ContourLoop.for_scale(1.0, 0.04, 0.5)
-    assert loop.half_re == pytest.approx(0.2)
+    assert loop.width / 2 == pytest.approx(0.2)
     pts = loop.boundary_points(64)
     assert len(pts) >= 64
     assert loop.contains(1.0 + 0.1j)
     assert not loop.contains(1.0 + 0.3j)
+
+
+def test_contour_loop_is_the_scaled_kappa_rect():
+    loop = qwres.ContourLoop.for_scale(1.0, 0.04, 0.5, a=0.5)
+    rect = KappaRect.for_scale(1.0, 0.04, 0.5, a=0.5)
+    assert loop == rect
+    np.testing.assert_array_equal(loop.boundary_points(64), rect.boundary_points(64))
+    r = 0.04**0.5
+    corners = (complex(1.0 - 0.5 * r, -r), complex(1.0 + 0.5 * r, -r),
+               complex(1.0 + 0.5 * r, r), complex(1.0 - 0.5 * r, r))
+    assert loop.corners() == corners
+    pts = loop.boundary_points(64)
+    assert len(pts) == 64
+    assert tuple(pts[::16]) == corners
 
 
 def test_exterior_escape_trivial_wall():

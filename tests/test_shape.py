@@ -104,6 +104,19 @@ class TestCornerFamily:
             step = STEPS[chir]
             assert (here[0] + step[0], here[1] + step[1]) == after
 
+    def test_slots_of_the_two_by_one_rectangle(self):
+        # plus climbs the left edge first, minus runs along the bottom first.
+        assert circulation_slots(2, 1, PLUS) == (
+            ((0, 0), LEFT), ((0, 1), UP), ((1, 1), RIGHT),
+            ((2, 1), RIGHT), ((2, 0), DOWN), ((1, 0), LEFT),
+        )
+        assert circulation_slots(2, 1, MINUS) == (
+            ((0, 0), DOWN), ((1, 0), RIGHT), ((2, 0), RIGHT),
+            ((2, 1), UP), ((1, 1), LEFT), ((0, 1), LEFT),
+        )
+        with pytest.raises(ValueError, match="circulation must be"):
+            circulation_slots(2, 1, "sideways")
+
     def test_one_corner_factors_and_counts(self):
         eps = 0.3
         fam = make_corner_family(2, 1, eps, "one-corner")

@@ -25,8 +25,6 @@ from qwres.spectral import (
     NumericalFailure,
     Root,
     det_value,
-    interaction_index,
-    interaction_matrix,
     locate_roots,
     projection_element,
     resolvent_apply,
@@ -134,7 +132,7 @@ def test_free_resolvent_solves_walk_equation_pointwise():
 def dynamics_interaction_matrix(coin, kappa):
     """Columns of the compressed matrix built from walk dynamics alone."""
     op = WalkOperator(coin)
-    pairs = interaction_index(coin)
+    pairs = DeterminantFamily(coin).pairs
     w = np.exp(-1j * kappa)
     m = len(pairs)
     out = np.zeros((m, m), dtype=complex)
@@ -156,7 +154,7 @@ def dynamics_interaction_matrix(coin, kappa):
 @pytest.mark.parametrize("seed,kappa", [(3, 1.1j), (5, 0.7 + 0.9j), (11, -1.3 + 1.4j)])
 def test_interaction_matrix_matches_dynamics(seed, kappa):
     coin = random_coin_field(1, seed=seed)
-    direct = interaction_matrix(coin, kappa)
+    direct = DeterminantFamily(coin).matrices([kappa])[0]
     oracle = dynamics_interaction_matrix(coin, kappa)
     np.testing.assert_allclose(direct, oracle, atol=1e-11)
 
@@ -184,7 +182,7 @@ def test_single_site_override_cannot_trap():
     # One overridden site scatters, but every scattered ray leaves for good,
     # so the compressed matrix vanishes identically.
     coin = CoinField(1, {(0, 0): np.asarray(np.linalg.qr(np.ones((4, 4)) + np.eye(4))[0], dtype=complex)})
-    m = interaction_matrix(coin, 0.5 - 0.3j)
+    m = DeterminantFamily(coin).matrices([0.5 - 0.3j])[0]
     assert np.all(m == 0)
     assert locate_roots(coin) == []
 
