@@ -16,7 +16,7 @@ approximations of the same wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +32,7 @@ from .lattice import (
     Site,
     WalkOperator,
     WalkState,
+    box_edges,
     compress_walk,
     ray_meets_box,
 )
@@ -108,16 +109,7 @@ def interior_pairs(box_radius: int) -> Tuple[Tuple[Site, int], ...]:
     four exclusions are left movers on the right wall, right movers on the
     left wall, down movers on the top wall and up movers on the bottom wall.
     """
-    m0 = box_radius
-    pairs: List[Tuple[Site, int]] = []
-    for x1 in range(-m0, m0 + 1):
-        for x2 in range(-m0, m0 + 1):
-            for j in CHIRALITIES:
-                dx, dy = STEPS[j]
-                prev = (x1 - dx, x2 - dy)
-                if max(abs(prev[0]), abs(prev[1])) <= m0:
-                    pairs.append(((x1, x2), j))
-    return tuple(pairs)
+    return box_edges(((-box_radius, -box_radius), (box_radius, box_radius)))
 
 
 class NonPenetrableWalk:

@@ -268,6 +268,24 @@ def compress_walk(op, pairs) -> Tuple[np.ndarray, float]:
     return matrix, leak
 
 
+def box_edges(sites) -> Tuple[Tuple[Site, int], ...]:
+    """The directed edges of the bounding box of the sites, ordered by x1, x2, chirality.
+
+    The amplitude of chirality j at x is an edge of the box when both x and
+    the site x - e_j it just came from lie in the box.  No sites, no edges.
+    """
+    if not sites:
+        return ()
+    (lo1, lo2), (hi1, hi2) = np.min(sites, axis=0).tolist(), np.max(sites, axis=0).tolist()
+    return tuple(
+        ((x1, x2), j)
+        for x1 in range(lo1, hi1 + 1)
+        for x2 in range(lo2, hi2 + 1)
+        for j in CHIRALITIES
+        if lo1 <= x1 - STEPS[j][0] <= hi1 and lo2 <= x2 - STEPS[j][1] <= hi2
+    )
+
+
 def ray_meets_box(site: Site, chirality: int, box_radius: int) -> bool:
     """True when the forward ray from (site, chirality) meets the coin box."""
     x, y = site

@@ -1,10 +1,12 @@
-"""Resolvent kernels, the finite characteristic determinant, and root location.
+"""Resolvents, the finite characteristic determinant, and root location.
 
-For the unperturbed walk the resolvent (U0 - e^{-i kappa})^{-1} acts
-per chirality with an explicit one-sided exponential kernel, so compressing
-the second-resolvent series to the coin override sites turns every spectral
-question about the perturbed walk into linear algebra on a matrix of size
-4 * (number of overridden sites).  The characteristic determinant
+Outside a box holding the coin overrides the walk is free, so amplitude
+that leaves the box never comes back.  On a box that also holds a finite
+state f and the probes, R(kappa) f = (U - e^{-i kappa})^{-1} f solves one
+linear system with the walk compressed to the box's edges, rational in
+e^{-i kappa} and so continued to all kappa.  Only the determinant comes
+from the override block, where the one-sided free kernels give a matrix of
+size 4 * (number of overridden sites).  The characteristic determinant
 
     D(kappa) = det(I + M(kappa)),
 
@@ -47,7 +49,8 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .lattice import CHIRALITIES, STEP_AXIS, STEP_SIGN, STEPS, CoinField, WalkState, compress_walk
+from .lattice import (CHIRALITIES, STEP_AXIS, STEP_SIGN, STEPS, CoinField, WalkState, box_edges,
+                      compress_walk)
 
 TWO_PI = 2.0 * np.pi
 
@@ -647,89 +650,48 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
 # ---------------------------------------------------------------------------
 
 
-def _kernel_series(terms) -> Tuple[np.ndarray, np.ndarray]:
-    """Exponents and coefficients with sum K_j(x, y) c = sum coeff * e^{i kappa n}.
+def _box_system(coin: CoinField, f: WalkState, sites) -> Tuple[tuple, np.ndarray, np.ndarray]:
+    """(edges, A, f on the edges) on the box that R(kappa) f needs around the sites.
 
-    terms yields (j, x, y, c); terms with c = 0 or off the kernel's support
-    are dropped.
+    The box spans the override sites, the given sites, and the sites of f
+    with the sites its components arrive from, so every component of f
+    lies on an edge of the box.  A is the walk compressed to the edges.
     """
-    expos = []
-    coeffs = []
-    for j, x, y, c in terms:
-        if c == 0:
-            continue
-        n = _free_kernel_exponent(j, x, y)
-        if n is None:
-            continue
-        expos.append(n)
-        coeffs.append(-c)
-    return np.asarray(expos, dtype=float), np.asarray(coeffs, dtype=complex)
+    span = list(coin.override_sites()) + list(sites)
+    for x, vec in f.items():
+        span += [x] + [(x[0] - STEPS[j][0], x[1] - STEPS[j][1]) for j in CHIRALITIES if vec[j] != 0]
+    pairs = box_edges(span)
+    source = np.array([f.component(x, j) for x, j in pairs], dtype=complex)
+    return pairs, compress_walk(coin, pairs)[0], source
 
 
 class ResolventPairing:
     """Batched evaluator of <R(kappa) f, g> for one coin field and one (f, g).
 
-    The full resolvent is reduced to the override block: with b(kappa) the
-    restriction of R0 f to the override pairs and h solving
-    (I + M(kappa)) h = b, the matrix element is
-
-        <R0 f, g> - sum_y ((C(y) - I) h(y)) . conj(K^T g)(y),
-
-    where the last factor pairs the pushed coin increment against g through
-    the same one-sided kernels.  Everything is a finite sum of terms
-    coeff * e^{i kappa n}, so batches of kappa evaluate with one broadcast.
+    The resolvent comes from the walk compressed to a box (see _box_system)
+    that holds the override sites, the sites of g, and f with the sites it
+    arrives from.  Outside the box every coin is the identity, so amplitude
+    that leaves it flies straight away and never returns, and amplitude on
+    an edge entering the box comes from a free ray that carries no f.  So
+    R(kappa) f vanishes on the entering edges and on the edges of the box
+    solves (A - e^{-i kappa}) u = f exactly.  Both sides are rational in
+    e^{-i kappa}, so this is the continued resolvent for every kappa.
     """
 
     def __init__(self, coin: CoinField, f: WalkState, g: WalkState):
-        self.fam = DeterminantFamily(coin)
-        self.coin = coin
-        self.f = f
-        self.g = g
-        # <R0 f, g>, then per override row the restriction of R0 f.
-        self.base_expo, self.base_coeff = _kernel_series(
-            (j, x, y, fvec[j] * np.conj(gvec[j]))
-            for x, gvec in g.items() for y, fvec in f.items() for j in CHIRALITIES
-        )
-        self._b = [_kernel_series((j, x, y, fvec[j]) for y, fvec in f.items())
-                   for x, j in self.fam.pairs]
-        # Pairing of a unit amplitude pushed from override site y in
-        # chirality l against g: sum_x K_l(x, y) conj(g_l(x)).
-        self._w = [
-            _kernel_series((l, x, (y[0] + STEPS[l][0], y[1] + STEPS[l][1]), np.conj(gvec[l]))
-                           for x, gvec in g.items())
-            for y, l in self.fam.pairs
-        ]
-        sites = coin.override_sites()
-        eye = np.eye(4)
-        self._deltas = [coin.coin_at(site) - eye for site in sites]
-
-    def _series(self, table, kappas: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(kappas), len(table)), dtype=complex)
-        for idx, (expo, coeff) in enumerate(table):
-            if expo.size:
-                out[:, idx] = np.exp(1j * kappas[:, None] * expo[None, :]) @ coeff
-        return out
+        self.pairs, self.matrix, self.source = _box_system(coin, f, g.sites())
+        self.probe = np.conj([g.component(x, j) for x, j in self.pairs])
 
     def values(self, kappas: Iterable[complex]) -> np.ndarray:
+        """<R(kappa) f, g> for a batch of kappas, solved in stacks of at most _CHUNK_ENTRIES entries."""
         kappas = np.asarray(list(kappas), dtype=complex)
-        base = np.zeros(len(kappas), dtype=complex)
-        if self.base_expo.size:
-            base = np.exp(1j * kappas[:, None] * self.base_expo[None, :]) @ self.base_coeff
-        m = self.fam.m
-        if m == 0 or self.fam.trivial:
-            return base
-        b = self._series(self._b, kappas)
-        w = self._series(self._w, kappas)
-        mats = self.fam.matrices(kappas)
-        mats[:, np.arange(m), np.arange(m)] += 1.0
-        h = np.linalg.solve(mats, b[:, :, None])[:, :, 0]
-        n_sites = m // 4
-        hv = h.reshape(len(kappas), n_sites, 4)
-        pushed = np.empty_like(hv)
-        for s in range(n_sites):
-            pushed[:, s, :] = hv[:, s, :] @ np.asarray(self._deltas[s]).T
-        correction = np.sum(pushed.reshape(len(kappas), m) * w, axis=1)
-        return base - correction
+        out = np.zeros(len(kappas), dtype=complex)
+        n = len(self.pairs)
+        chunk = max(1, _CHUNK_ENTRIES // max(1, n * n))
+        for lo in range(0, len(kappas), chunk):
+            mats = self.matrix - np.exp(-1j * kappas[lo : lo + chunk])[:, None, None] * np.eye(n)
+            out[lo : lo + chunk] = np.linalg.solve(mats, self.source) @ self.probe
+        return out
 
 
 def resolvent_matrix_element(coin: CoinField, kappa: complex, f: WalkState, g: WalkState) -> complex:
@@ -742,34 +704,15 @@ def resolvent_apply(coin: CoinField, kappa: complex, f: WalkState, radius: int) 
 
     The result solves (U - e^{-i kappa}) u = f identically as a pointwise
     statement even below the real axis, where u is the continued resolvent
-    rather than an l2 function.
+    rather than an l2 function.  It is solved on a box that also spans the
+    window, as in ResolventPairing, and restricted to the window.
     """
-
-    def series(terms) -> complex:
-        expo, coeff = _kernel_series(terms)
-        return np.exp(1j * kappa * expo) @ coeff
-
-    fam = DeterminantFamily(coin)
-    h = np.zeros(fam.m, dtype=complex)
-    if not fam.trivial:
-        b = [series((j, x, y, fvec[j]) for y, fvec in f.items()) for x, j in fam.pairs]
-        h = np.linalg.solve(fam.matrices(np.array([kappa]))[0] + np.eye(fam.m), b)
-
-    # R f = R0 f - R0 (V chi* h): the sources are f and minus the coin
-    # increments applied to h, each pushed one step along its chirality.
-    sources = list(f.items())
-    eye = np.eye(4)
-    for s, y in enumerate(coin.override_sites()):
-        v = (coin.coin_at(y) - eye) @ h[4 * s : 4 * s + 4]
-        sources += [((y[0] + dx, y[1] + dy), -v[l] * eye[l]) for l, (dx, dy) in enumerate(STEPS)]
-
+    pairs, matrix, source = _box_system(coin, f, [(-radius, -radius), (radius, radius)])
+    u = np.linalg.solve(matrix - np.exp(-1j * complex(kappa)) * np.eye(len(pairs)), source)
     amp = {}
-    for x1 in range(-radius, radius + 1):
-        for x2 in range(-radius, radius + 1):
-            x = (x1, x2)
-            vec = np.array([series((j, x, y, svec[j]) for y, svec in sources) for j in CHIRALITIES])
-            if np.any(vec != 0):
-                amp[x] = vec
+    for (x, j), a in zip(pairs, u):
+        if max(abs(x[0]), abs(x[1])) <= radius:
+            amp.setdefault(x, np.zeros(4, dtype=complex))[j] = a
     return WalkState(amp)
 
 

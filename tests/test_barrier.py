@@ -26,7 +26,13 @@ from qwres.lattice import (
     WalkState,
     random_unitary_coin,
 )
-from qwres.spectral import KappaRect, NumericalFailure, default_strip, winding_number
+from qwres.spectral import (
+    KappaRect,
+    NumericalFailure,
+    default_strip,
+    resolvent_apply,
+    winding_number,
+)
 from qwres.translation import translation_weight
 
 TWO_PI = 2.0 * np.pi
@@ -176,6 +182,19 @@ def test_green_apply_theta_variant():
         got = walk.state_to_vector(green_apply(iu, kappa, f, theta=theta))
         want = np.linalg.solve(translated - np.exp(-1j * kappa) * eye, vec)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_green_apply_matches_the_box_resolvent():
+    # Two engines: the interior eigendecomposition and the walk compressed to
+    # the box of the sealed barrier.  The interior edges are invariant, so
+    # the open-walk resolvent of a state on them is the interior one.
+    iu = interior_spectrum(1)
+    walk = iu.walk
+    rng = np.random.default_rng(91)
+    f = walk.vector_to_state(rng.normal(size=iu.dimension) + 1j * rng.normal(size=iu.dimension))
+    for kappa in (0.3 + 0.4j, 1.1 - 0.5j, 2.0 - 0.05j):
+        want = green_apply(iu, kappa, f)
+        assert resolvent_apply(walk.coin, kappa, f, 1).allclose(want, tol=1e-12)
 
 
 def test_green_apply_on_eigenvalue_raises():

@@ -162,12 +162,32 @@ def test_interaction_matrix_matches_dynamics(seed, kappa):
 def test_full_resolvent_element_matches_dynamics_series():
     coin = random_coin_field(1, seed=13)
     op = WalkOperator(coin)
-    f = random_state(31)
-    g = random_state(32)
-    for kappa in (1.0j, 0.4 + 0.8j, -2.0 + 1.2j):
-        oracle = neumann_element(op, kappa, f, g)
-        direct = resolvent_matrix_element(coin, kappa, f, g)
-        assert direct == pytest.approx(oracle, abs=1e-11)
+    # The second pair sits on edges entering the override box [-1, 1]^2 from
+    # outside it: f arrives from (2, 0) and (0, -2), g from (-2, 0) and (0, 2).
+    entering_f = WalkState.delta((1, 0), LEFT).plus(WalkState.delta((0, -1), UP, 0.5j))
+    entering_g = WalkState.delta((-1, 0), RIGHT, 0.7).plus(WalkState.delta((0, 1), DOWN, -1.1j))
+    for f, g in ((random_state(31), random_state(32)), (entering_f, entering_g)):
+        for kappa in (1.0j, 0.4 + 0.8j, -2.0 + 1.2j):
+            oracle = neumann_element(op, kappa, f, g)
+            direct = resolvent_matrix_element(coin, kappa, f, g)
+            assert direct == pytest.approx(oracle, abs=1e-11)
+
+
+def test_free_resolvent_element_is_the_kernel_sum():
+    free = CoinField(0, {})
+    f = random_state(41)
+    g = random_state(42)
+    for kappa in (0.3 + 0.8j, 1.9 - 0.6j):
+        kernel_sum = sum(
+            resolvent_kernel_entry(j, x, y, kappa) * fvec[j] * np.conj(gvec[j])
+            for x, gvec in g.items()
+            for y, fvec in f.items()
+            for j in CHIRALITIES
+        )
+        assert resolvent_matrix_element(free, kappa, f, g) == pytest.approx(kernel_sum, rel=1e-12)
+        # The resolvent of the zero state is 0, also when no site spans a box.
+        assert resolvent_matrix_element(free, kappa, WalkState(), g) == 0
+        assert resolvent_matrix_element(free, kappa, WalkState(), WalkState()) == 0
 
 
 def test_identity_coin_has_trivial_determinant():
@@ -499,14 +519,19 @@ def test_resolvent_apply_solves_walk_equation_below_axis():
     op = WalkOperator(coin)
     kappa = 0.4 - 0.3j
     w = np.exp(-1j * kappa)
-    f = WalkState.delta((0, 0), RIGHT, 1.0).plus(WalkState.delta((1, -1), UP, 0.5j))
-    u = resolvent_apply(coin, kappa, f, radius=8)
-    pushed = apply_walk(op, u)
-    for x1 in range(-7, 8):
-        for x2 in range(-7, 8):
-            site = (x1, x2)
-            res = pushed.amplitude(site) - w * u.amplitude(site) - f.amplitude(site)
-            assert np.max(np.abs(res)) < 1e-9
+    # The second source sits outside the override box, on a left mover
+    # that enters it along row 0.
+    for f in (
+        WalkState.delta((0, 0), RIGHT, 1.0).plus(WalkState.delta((1, -1), UP, 0.5j)),
+        WalkState.delta((3, 0), LEFT),
+    ):
+        u = resolvent_apply(coin, kappa, f, radius=8)
+        pushed = apply_walk(op, u)
+        for x1 in range(-7, 8):
+            for x2 in range(-7, 8):
+                site = (x1, x2)
+                res = pushed.amplitude(site) - w * u.amplitude(site) - f.amplitude(site)
+                assert np.max(np.abs(res)) < 1e-9
 
 
 def loop_eigenfunction(kappa, plus=True):
