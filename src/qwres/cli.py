@@ -3,7 +3,11 @@
 Every subcommand resolves its configuration in three layers (built-in
 defaults, then a JSON config file given with --config, then explicit
 flags), validates the merged result, runs the owning module, and writes
-one output document.  JSON output is an envelope holding the toolkit
+one output document.  Each option is declared once, in _OPTIONS (help,
+check, argparse keywords), each subcommand once, in _COMMANDS (help,
+runner, choices, defaults), and each model preset once, in
+_MODEL_BUILDERS; the parser, the validation and the help are loops over
+these tables.  JSON output is an envelope holding the toolkit
 version, the fully resolved configuration and the command payload; CSV
 output is the bare table whose columns are fixed per command.  Repeated
 runs with the same configuration produce byte-identical output, which is
@@ -28,7 +32,8 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .barrier import BarrierSpec, build_nonpenetrable, interior_spectrum, norm_on_loop
@@ -58,6 +63,7 @@ from .shape import (
 )
 from .spectral import (
     STRIP_IM_MAX,
+    STRIP_IM_MIN,
     STRIP_SHIFT,
     TWO_PI,
     DeterminantFamily,
@@ -67,99 +73,6 @@ from .spectral import (
     root_reported_at,
 )
 
-MODEL_PRESETS = (
-    "free",
-    "corner",
-    "one-corner",
-    "two-corner",
-    "phase-corner",
-    "barrier-trivial",
-    "shape-trivial",
-    "random-elastic",
-)
-ELASTIC_PRESETS = ("corner", "random-elastic")
-
-_PRESET_CHOICES: Dict[str, Tuple[str, ...]] = {
-    "evolve": MODEL_PRESETS,
-    "trace": ELASTIC_PRESETS,
-    "elastic-spec": ELASTIC_PRESETS,
-    "resonances": MODEL_PRESETS,
-    "barrier-spec": ("barrier-trivial",),
-    "corner-scan": CORNER_PRESETS,
-    "shape-scan": ("shape-trivial",),
-}
-_EMIT_CHOICES: Dict[str, Tuple[str, ...]] = {
-    "resonances": ("json", "csv"),
-    "barrier-norms": ("csv", "json"),
-    "corner-scan": ("csv", "json"),
-    "shape-scan": ("csv", "json"),
-}
-
-_COMMON_DEFAULTS: Dict[str, object] = {"config": None, "output": "-"}
-
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "evolve": {
-        "preset": "free",
-        "coin_json": None,
-        "m0": 2,
-        "n0": 2,
-        "M0": 1,
-        "eps": 0.0,
-        "seed": 0,
-        "site": (0, 0),
-        "chirality": "left",
-        "t": 1,
-    },
-    "trace": {
-        "preset": "corner",
-        "m0": 2,
-        "n0": 2,
-        "M0": 2,
-        "seed": 0,
-        "site": (0, 0),
-        "chirality": "left",
-    },
-    "elastic-spec": {"preset": "corner", "m0": 2, "n0": 2, "M0": 2, "seed": 0},
-    "resonances": {
-        "preset": None,
-        "coin_json": None,
-        "m0": 2,
-        "n0": 2,
-        "M0": 1,
-        "eps": 0.0,
-        "seed": 0,
-        "strip_depth": None,
-        "emit": "json",
-    },
-    "barrier-spec": {"preset": "barrier-trivial", "M0": 1, "coin_json": None},
-    "barrier-norms": {
-        "M0": 1,
-        "mu0": 0.0,
-        "eps_grid": None,
-        "s": 0.5,
-        "samples": 64,
-        "emit": "csv",
-    },
-    "corner-scan": {
-        "preset": "one-corner",
-        "m0": 2,
-        "n0": 2,
-        "eps_grid": None,
-        "s": 0.5,
-        "threads": None,
-        "emit": "csv",
-    },
-    "shape-scan": {
-        "preset": "shape-trivial",
-        "M0": 1,
-        "eps_grid": None,
-        "s": 0.5,
-        "threads": None,
-        "emit": "csv",
-    },
-}
-
-
 class InputError(Exception):
     """A problem with the invocation itself, carrying its exit code."""
 
@@ -167,7 +80,6 @@ class InputError(Exception):
         super().__init__(reason)
         self.code = code
         self.kind = kind
-        self.reason = reason
 
 
 def _config_error(reason: str) -> InputError:
@@ -204,249 +116,146 @@ def _grid_flag(text: str) -> Tuple[float, ...]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qwres",
-        description="Eigenvalues and resonances of finitely perturbed coined walks on the 2D lattice.",
-        epilog=(
-            "Exit codes: 0 ok, 1 numerical failure, 2 usage, 3 bad JSON input, "
-            "4 bad configuration value.  A JSON config file given with --config "
-            "supplies any of the listed options by their long name with '-' "
-            "replaced by '_'; explicit flags override the file."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"qwres {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+# Checks of merged option values: check(command, key, value) returns the
+# value to keep or raises a ConfigError naming the key.
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--config", default=argparse.SUPPRESS, metavar="FILE",
-                       help="JSON file with defaults for the flags below")
-        p.add_argument("--output", default=argparse.SUPPRESS, metavar="PATH",
-                       help="output file, '-' for stdout (default: -)")
-        return p
-
-    def opt(p, name: str, **kw) -> None:
-        kw.setdefault("default", argparse.SUPPRESS)
-        p.add_argument(name, **kw)
-
-    def model_opts(p, command: str, with_eps: bool) -> None:
-        choices = _PRESET_CHOICES[command]
-        d = _DEFAULTS[command]
-        opt(p, "--preset", choices=choices,
-            help=f"built-in model (default: {d.get('preset')})")
-        if "coin_json" in d:
-            opt(p, "--coin-json", metavar="FILE", dest="coin_json",
-                help="coin field document overriding any preset")
-        if "m0" in d:
-            opt(p, "--m0", type=int, help=f"corner rectangle width (default: {d['m0']})")
-        if "n0" in d:
-            opt(p, "--n0", type=int, help=f"corner rectangle height (default: {d['n0']})")
-        if "M0" in d:
-            opt(p, "--M0", type=int, dest="M0",
-                help=f"box radius for barrier, shape and random models (default: {d['M0']})")
-        if with_eps:
-            opt(p, "--eps", type=float,
-                help=f"perturbation strength for the eps families (default: {d['eps']})")
-        if "seed" in d:
-            opt(p, "--seed", type=int,
-                help=f"seed for the random-elastic model (default: {d['seed']})")
-
-    p = cmd("evolve", "run a delta state forward and emit the final state")
-    model_opts(p, "evolve", with_eps=True)
-    opt(p, "--site", type=_site_flag, metavar="I,J", help="initial site (default: 0,0)")
-    opt(p, "--chirality", choices=CHIRALITY_NAMES, help="initial chirality (default: left)")
-    opt(p, "--t", type=int, help="number of steps (default: 1)")
-
-    p = cmd("trace", "follow one classical trajectory of an elastic field")
-    model_opts(p, "trace", with_eps=False)
-    opt(p, "--site", type=_site_flag, metavar="I,J", help="start site (default: 0,0)")
-    opt(p, "--chirality", choices=CHIRALITY_NAMES, help="start chirality (default: left)")
-
-    p = cmd("elastic-spec", "classify all closed orbits and quantize their spectrum")
-    model_opts(p, "elastic-spec", with_eps=False)
-
-    p = cmd("resonances", "locate determinant zeros in the spectral strip")
-    model_opts(p, "resonances", with_eps=True)
-    opt(p, "--strip-depth", type=float, dest="strip_depth",
-        help="scan Im kappa down to -DEPTH (default: the standard strip, depth 2)")
-    opt(p, "--emit", choices=_EMIT_CHOICES["resonances"],
-        help="output format (default: json)")
-
-    p = cmd("barrier-spec", "interior spectrum of a non-penetrable barrier")
-    model_opts(p, "barrier-spec", with_eps=False)
-
-    p = cmd("barrier-norms", "interior resolvent norm on shrinking loops")
-    opt(p, "--M0", type=int, dest="M0", help="barrier box radius (default: 1)")
-    opt(p, "--mu0", type=float, help="loop center phase (default: 0.0)")
-    opt(p, "--eps-grid", type=_grid_flag, dest="eps_grid", metavar="E1,E2,...",
-        help="perturbation strengths, required")
-    opt(p, "--s", type=float, help="loop scale exponent (default: 0.5)")
-    opt(p, "--samples", type=int, help="boundary samples per loop, at least 64 (default: 64)")
-    opt(p, "--emit", choices=_EMIT_CHOICES["barrier-norms"],
-        help="output format (default: csv)")
-
-    for name, label in (("corner-scan", "corner family"), ("shape-scan", "shape family")):
-        p = cmd(name, f"track root migration of the {label} over an eps grid")
-        d = _DEFAULTS[name]
-        opt(p, "--preset", choices=_PRESET_CHOICES[name],
-            help=f"family preset (default: {d['preset']})")
-        if name == "corner-scan":
-            opt(p, "--m0", type=int, help=f"rectangle width (default: {d['m0']})")
-            opt(p, "--n0", type=int, help=f"rectangle height (default: {d['n0']})")
-        else:
-            opt(p, "--M0", type=int, dest="M0", help=f"barrier box radius (default: {d['M0']})")
-        opt(p, "--eps-grid", type=_grid_flag, dest="eps_grid", metavar="E1,E2,...",
-            help="perturbation strengths, required")
-        opt(p, "--s", type=float,
-            help="loop scale exponent; values above 0.5 warn (default: 0.5)")
-        opt(p, "--threads", type=int,
-            help="worker threads (default: env QWRES_THREADS, else 1)")
-        opt(p, "--emit", choices=_EMIT_CHOICES[name],
-            help="output format; root_re is reported in the frame of its loop center "
-                 "(default: csv)")
-
-    return parser
-
-
-def _require_int(cfg: Dict[str, object], key: str, minimum: int) -> None:
-    v = cfg[key]
+def _integer(minimum: int, cmd: str, key: str, v: object) -> object:
     if isinstance(v, bool) or not isinstance(v, int):
         raise _config_error(f"{key} must be an integer, got {v!r}")
     if v < minimum:
         raise _config_error(f"{key} must be at least {minimum}, got {v}")
+    return v
 
 
-def _require_float(cfg: Dict[str, object], key: str, low: float, high: float) -> None:
-    v = cfg[key]
+def _number(low: float, high: float, cmd: str, key: str, v: object) -> object:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _config_error(f"{key} must be a number, got {v!r}")
     v = float(v)
     if not math.isfinite(v) or not (low <= v <= high):
         raise _config_error(f"{key} must lie in [{low}, {high}], got {v}")
-    cfg[key] = v
+    return v
 
 
-def _validate(cfg: Dict[str, object]) -> None:
-    cmd = str(cfg["command"])
-    if not isinstance(cfg["output"], str) or not cfg["output"]:
-        raise _config_error(f"output must be a path or '-', got {cfg['output']!r}")
-    for key in ("config", "coin_json"):
-        if key in cfg and cfg[key] is not None and not isinstance(cfg[key], str):
-            raise _config_error(f"{key} must be a path, got {cfg[key]!r}")
-    if "preset" in cfg and cfg["preset"] is not None:
-        if cfg["preset"] not in _PRESET_CHOICES[cmd]:
-            raise _config_error(
-                f"preset for {cmd} must be one of {', '.join(_PRESET_CHOICES[cmd])}; "
-                f"got {cfg['preset']!r}"
-            )
-    for key, minimum in (("m0", 1), ("n0", 1), ("M0", 1), ("t", 0), ("seed", 0),
-                         ("samples", 64)):
-        if key in cfg:
-            _require_int(cfg, key, minimum)
-    if "eps" in cfg:
-        _require_float(cfg, "eps", 0.0, 1.0)
-    if "s" in cfg:
-        _require_float(cfg, "s", 1e-9, 4.0)
-    if "mu0" in cfg:
-        _require_float(cfg, "mu0", -1e6, 1e6)
-    if "strip_depth" in cfg and cfg["strip_depth"] is not None:
-        _require_float(cfg, "strip_depth", 1e-6, 64.0)
-    if "eps_grid" in cfg:
-        grid = cfg["eps_grid"]
-        if grid is None:
-            raise _config_error("eps_grid is required; pass --eps-grid or set it in the config file")
-        if isinstance(grid, (int, float, str, bool)) or not grid:
-            raise _config_error(f"eps_grid must be a non-empty list of floats, got {grid!r}")
-        values = []
-        for v in grid:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < float(v) <= 1.0:
-                raise _config_error(f"eps_grid entries must lie in (0, 1], got {v!r}")
-            values.append(float(v))
-        cfg["eps_grid"] = tuple(values)
-    if "site" in cfg:
-        site = cfg["site"]
-        if (isinstance(site, (list, tuple)) and len(site) == 2
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in site)):
-            cfg["site"] = (int(site[0]), int(site[1]))
-        else:
-            raise _config_error(f"site must be an integer pair, got {site!r}")
-    if "chirality" in cfg and cfg["chirality"] not in CHIRALITY_NAMES:
-        raise _config_error(
-            f"chirality must be one of {', '.join(CHIRALITY_NAMES)}, got {cfg['chirality']!r}"
-        )
-    if "emit" in cfg and cfg["emit"] not in _EMIT_CHOICES[cmd]:
-        raise _config_error(
-            f"emit for {cmd} must be one of {', '.join(_EMIT_CHOICES[cmd])}; got {cfg['emit']!r}"
-        )
-    if "threads" in cfg:
-        threads = cfg["threads"]
-        if threads is None:
-            raw = os.environ.get("QWRES_THREADS", "").strip()
-            if raw:
-                try:
-                    threads = int(raw)
-                except ValueError:
-                    raise _config_error(f"QWRES_THREADS must be an integer, got {raw!r}") from None
-            else:
-                threads = 1
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise _config_error(f"threads must be a positive integer, got {threads!r}")
-        cfg["threads"] = threads
-    if cmd == "resonances" and cfg["preset"] is None and cfg["coin_json"] is None:
-        raise _config_error("no model source: give --preset or --coin-json")
+def _path(cmd: str, key: str, v: object) -> object:
+    if v is not None and not isinstance(v, str):
+        raise _config_error(f"{key} must be a path, got {v!r}")
+    return v
 
 
-def _resolve_config(ns: argparse.Namespace) -> Dict[str, object]:
-    cmd = ns.command
-    explicit = {k: v for k, v in vars(ns).items() if k != "command"}
-    merged: Dict[str, object] = {**_COMMON_DEFAULTS, **_DEFAULTS[cmd]}
-    path = explicit.get("config", None)
-    if path is not None:
-        doc = _load_json_file(path)
-        if not isinstance(doc, dict):
-            raise _config_error(f"{path} must hold a JSON object of options")
-        for key, value in doc.items():
-            if key == "command":
-                if value != cmd:
-                    raise _config_error(
-                        f"config file names command {value!r} but {cmd!r} was invoked"
-                    )
-                continue
-            if key not in merged:
-                raise _config_error(f"unknown config key {key!r} for {cmd}")
-            merged[key] = value
-    merged.update(explicit)
-    merged["command"] = cmd
-    _validate(merged)
-    return merged
+def _output(cmd: str, key: str, v: object) -> object:
+    if not isinstance(v, str) or not v:
+        raise _config_error(f"output must be a path or '-', got {v!r}")
+    return v
+
+
+def _listed(cmd: str, key: str, v: object) -> object:
+    legal = _COMMANDS[cmd].choices[key]
+    if v not in legal:
+        raise _config_error(f"{key} for {cmd} must be one of {', '.join(legal)}; got {v!r}")
+    return v
+
+
+def _chirality(cmd: str, key: str, v: object) -> object:
+    if v not in CHIRALITY_NAMES:
+        raise _config_error(f"chirality must be one of {', '.join(CHIRALITY_NAMES)}, got {v!r}")
+    return v
+
+
+def _site(cmd: str, key: str, v: object) -> object:
+    if (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)):
+        return (int(v[0]), int(v[1]))
+    raise _config_error(f"site must be an integer pair, got {v!r}")
+
+
+def _eps_grid(cmd: str, key: str, grid: object) -> object:
+    if grid is None:
+        raise _config_error("eps_grid is required; pass --eps-grid or set it in the config file")
+    if isinstance(grid, (int, float, str, bool)) or not grid:
+        raise _config_error(f"eps_grid must be a non-empty list of floats, got {grid!r}")
+    for v in grid:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < float(v) <= 1.0:
+            raise _config_error(f"eps_grid entries must lie in (0, 1], got {v!r}")
+    return tuple(float(v) for v in grid)
+
+
+def _threads(cmd: str, key: str, threads: object) -> object:
+    if threads is None:
+        raw = os.environ.get("QWRES_THREADS", "").strip()
+        if not raw:
+            return 1
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise _config_error(f"QWRES_THREADS must be an integer, got {raw!r}") from None
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise _config_error(f"threads must be a positive integer, got {threads!r}")
+    return threads
+
+
+class _Option(NamedTuple):
+    """One option: its help, the check of its merged value, its argparse keywords.
+
+    Its flag is --KEY with '_' written '-'.  The help ends in the command's
+    default, or in ``unset`` when that default is None.
+    """
+
+    help: str
+    check: Callable[[str, str, object], object]
+    type: Optional[Callable[[str], object]] = None
+    metavar: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+    unset: str = ""
+
+
+# Every option, in the order _validate checks them.  The choices of preset
+# and emit are the command's own, in _COMMANDS.
+_OPTIONS: Dict[str, _Option] = {
+    "output": _Option("output file, '-' for stdout", _output, metavar="PATH"),
+    "config": _Option("JSON file with defaults for the flags below", _path, metavar="FILE"),
+    "coin_json": _Option("coin field document overriding any preset", _path, metavar="FILE"),
+    "preset": _Option("built-in model",
+                      lambda cmd, key, v: v if v is None else _listed(cmd, key, v), unset="none"),
+    "m0": _Option("corner rectangle width", partial(_integer, 1), int),
+    "n0": _Option("corner rectangle height", partial(_integer, 1), int),
+    "M0": _Option("box radius of the barrier, shape and random models", partial(_integer, 1), int),
+    "t": _Option("number of steps", partial(_integer, 0), int),
+    "seed": _Option("seed for the random-elastic model", partial(_integer, 0), int),
+    "samples": _Option("boundary samples per loop, at least 64", partial(_integer, 64), int),
+    "eps": _Option("perturbation strength for the eps families", partial(_number, 0.0, 1.0), float),
+    "s": _Option("loop scale exponent; values above 1/2 warn", partial(_number, 1e-9, 4.0), float),
+    "mu0": _Option("loop center phase", partial(_number, -1e6, 1e6), float),
+    "strip_depth": _Option("scan Im kappa down to -STRIP_DEPTH",
+                           lambda cmd, key, v: v if v is None else _number(1e-6, 64.0, cmd, key, v),
+                           float, unset=f"the standard strip, depth {-STRIP_IM_MIN:g}"),
+    "eps_grid": _Option("perturbation strengths, required", _eps_grid, _grid_flag, "E1,E2,..."),
+    "site": _Option("start site", _site, _site_flag, "I,J"),
+    "chirality": _Option("start chirality", _chirality, choices=CHIRALITY_NAMES),
+    "emit": _Option("output format", _listed),
+    "threads": _Option("worker threads", _threads, int, unset="env QWRES_THREADS, else 1"),
+}
+
+
+# Model preset -> the coin field it builds from a validated configuration.
+_MODEL_BUILDERS: Dict[str, Callable[[Dict[str, object]], CoinField]] = {
+    "free": lambda cfg: CoinField(0, {}),
+    "corner": lambda cfg: CoinField(max(cfg["m0"], cfg["n0"]),
+                                    elastic_corner_coins(cfg["m0"], cfg["n0"])),
+    **dict.fromkeys(CORNER_PRESETS, lambda cfg: make_corner_family(
+        cfg["m0"], cfg["n0"], cfg["eps"], cfg["preset"]).coin),
+    "barrier-trivial": lambda cfg: build_nonpenetrable(BarrierSpec(cfg["M0"])).coin,
+    "shape-trivial": lambda cfg: make_shape_family(BarrierSpec(cfg["M0"]), cfg["eps"]).coin,
+    "random-elastic": lambda cfg: random_permutation_coin(cfg["M0"], cfg["seed"]).to_coin_field(),
+}
+MODEL_PRESETS = tuple(_MODEL_BUILDERS)
+ELASTIC_PRESETS = ("corner", "random-elastic")
 
 
 def _model_coin_field(cfg: Dict[str, object]) -> CoinField:
     path = cfg.get("coin_json")
     if path:
         return coin_field_from_json(_load_json_file(path))
-    preset = cfg.get("preset")
-    if preset is None:
-        raise _config_error("no model source: give --preset or --coin-json")
-    if preset == "free":
-        return CoinField(0, {})
-    if preset == "corner":
-        if cfg.get("eps", 0.0) != 0.0:
-            raise _config_error(
-                "the corner preset is the closed model; use one-corner, two-corner "
-                "or phase-corner for eps > 0"
-            )
-        return CoinField(max(cfg["m0"], cfg["n0"]), elastic_corner_coins(cfg["m0"], cfg["n0"]))
-    if preset in CORNER_PRESETS:
-        return make_corner_family(cfg["m0"], cfg["n0"], cfg["eps"], preset).coin
-    if preset == "barrier-trivial":
-        return build_nonpenetrable(BarrierSpec(cfg["M0"])).coin
-    if preset == "shape-trivial":
-        return make_shape_family(BarrierSpec(cfg["M0"]), cfg["eps"]).coin
-    if preset == "random-elastic":
-        return random_permutation_coin(cfg["M0"], cfg["seed"]).to_coin_field()
-    raise _config_error(f"preset {preset!r} does not name a coin model")
+    return _MODEL_BUILDERS[cfg["preset"]](cfg)
 
 
 def _elastic_model(cfg: Dict[str, object]):
@@ -566,24 +375,15 @@ def _run_resonances(cfg):
     }
     rows: List[Sequence[object]] = [
         ("kappa_re", "kappa_im", "w_re", "w_im", "multiplicity", "kind", "residual")
-    ]
-    for r in roots:
-        w = cmath.exp(-1j * r.kappa)
-        rows.append((r.kappa.real, r.kappa.imag, w.real, w.imag,
-                     int(r.multiplicity), r.kind, float(r.residual)))
+    ] + [(o["kappa"]["re"], o["kappa"]["im"], o["w"]["re"], o["w"]["im"], o["multiplicity"],
+          o["kind"], o["residual"]) for o in payload["roots"]]
     return payload, rows
 
 
-def _barrier_interior(cfg):
-    path = cfg.get("coin_json")
-    if path:
-        field = coin_field_from_json(_load_json_file(path))
-        return interior_spectrum(cfg["M0"], field.overrides)
-    return interior_spectrum(cfg["M0"])
-
-
 def _run_barrier_spec(cfg):
-    iu = _barrier_interior(cfg)
+    path = cfg.get("coin_json")
+    coins = coin_field_from_json(_load_json_file(path)).overrides if path else None
+    iu = interior_spectrum(cfg["M0"], coins)
     payload = {
         "N": iu.dimension,
         "eigenphases": [float(p) for p in iu.eigenphases],
@@ -595,12 +395,10 @@ def _run_barrier_spec(cfg):
 def _run_barrier_norms(cfg):
     iu = interior_spectrum(cfg["M0"])
     rows: List[Sequence[object]] = [("eps", "s", "max_norm")]
-    records = []
     for eps in cfg["eps_grid"]:
         value = norm_on_loop(iu, cfg["mu0"], eps, s=cfg["s"], samples=cfg["samples"])
         rows.append((eps, cfg["s"], float(value)))
-        records.append({"eps": eps, "s": cfg["s"], "max_norm": float(value)})
-    return {"rows": records}, rows
+    return {"rows": [dict(zip(rows[0], row)) for row in rows[1:]]}, rows
 
 
 def _scan_output(fam, cfg):
@@ -624,26 +422,134 @@ def _scan_output(fam, cfg):
     return {"rows": records}, rows
 
 
-def _run_corner_scan(cfg):
-    fam = make_corner_family(cfg["m0"], cfg["n0"], cfg["eps_grid"][0], cfg["preset"])
-    return _scan_output(fam, cfg)
+class _Command(NamedTuple):
+    """One subcommand: its help, its runner, its own choices and its defaults.
+
+    The defaults name every option it takes besides config and output, and
+    are echoed as the resolved configuration.
+    """
+
+    help: str
+    run: Callable[[Dict[str, object]], tuple]
+    choices: Dict[str, Tuple[str, ...]]
+    defaults: Dict[str, object]
 
 
-def _run_shape_scan(cfg):
-    fam = make_shape_family(BarrierSpec(cfg["M0"]), cfg["eps_grid"][0])
-    return _scan_output(fam, cfg)
+_COMMON_DEFAULTS: Dict[str, object] = {"config": None, "output": "-"}
+_SCAN_HELP = ("track root migration of the {} family over an eps grid; "
+              "root_re is reported in the frame of its loop center")
 
-
-_DISPATCH = {
-    "evolve": _run_evolve,
-    "trace": _run_trace,
-    "elastic-spec": _run_elastic_spec,
-    "resonances": _run_resonances,
-    "barrier-spec": _run_barrier_spec,
-    "barrier-norms": _run_barrier_norms,
-    "corner-scan": _run_corner_scan,
-    "shape-scan": _run_shape_scan,
+_COMMANDS: Dict[str, _Command] = {
+    "evolve": _Command(
+        "run a delta state forward and emit the final state", _run_evolve,
+        {"preset": MODEL_PRESETS},
+        {"preset": "free", "coin_json": None, "m0": 2, "n0": 2, "M0": 1, "eps": 0.0,
+         "seed": 0, "site": (0, 0), "chirality": "left", "t": 1}),
+    "trace": _Command(
+        "follow one classical trajectory of an elastic field", _run_trace,
+        {"preset": ELASTIC_PRESETS},
+        {"preset": "corner", "m0": 2, "n0": 2, "M0": 2, "seed": 0, "site": (0, 0),
+         "chirality": "left"}),
+    "elastic-spec": _Command(
+        "classify all closed orbits and quantize their spectrum", _run_elastic_spec,
+        {"preset": ELASTIC_PRESETS},
+        {"preset": "corner", "m0": 2, "n0": 2, "M0": 2, "seed": 0}),
+    "resonances": _Command(
+        "locate determinant zeros in the spectral strip", _run_resonances,
+        {"preset": MODEL_PRESETS, "emit": ("json", "csv")},
+        {"preset": None, "coin_json": None, "m0": 2, "n0": 2, "M0": 1, "eps": 0.0,
+         "seed": 0, "strip_depth": None, "emit": "json"}),
+    "barrier-spec": _Command(
+        "interior spectrum of a non-penetrable barrier", _run_barrier_spec,
+        {"preset": ("barrier-trivial",)},
+        {"preset": "barrier-trivial", "coin_json": None, "M0": 1}),
+    "barrier-norms": _Command(
+        "interior resolvent norm on shrinking loops", _run_barrier_norms,
+        {"emit": ("csv", "json")},
+        {"M0": 1, "mu0": 0.0, "eps_grid": None, "s": 0.5, "samples": 64, "emit": "csv"}),
+    "corner-scan": _Command(
+        _SCAN_HELP.format("corner"),
+        lambda cfg: _scan_output(make_corner_family(
+            cfg["m0"], cfg["n0"], cfg["eps_grid"][0], cfg["preset"]), cfg),
+        {"preset": CORNER_PRESETS, "emit": ("csv", "json")},
+        {"preset": "one-corner", "m0": 2, "n0": 2, "eps_grid": None, "s": 0.5,
+         "threads": None, "emit": "csv"}),
+    "shape-scan": _Command(
+        _SCAN_HELP.format("shape"),
+        lambda cfg: _scan_output(
+            make_shape_family(BarrierSpec(cfg["M0"]), cfg["eps_grid"][0]), cfg),
+        {"preset": ("shape-trivial",), "emit": ("csv", "json")},
+        {"preset": "shape-trivial", "M0": 1, "eps_grid": None, "s": 0.5, "threads": None,
+         "emit": "csv"}),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qwres",
+        description="Eigenvalues and resonances of finitely perturbed coined walks on the 2D lattice.",
+        epilog=(
+            "Exit codes: 0 ok, 1 numerical failure, 2 usage, 3 bad JSON input, "
+            "4 bad configuration value.  A JSON config file given with --config "
+            "supplies any of the listed options by their long name with '-' "
+            "replaced by '_'; explicit flags override the file."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"qwres {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        for key, default in {**_COMMON_DEFAULTS, **command.defaults}.items():
+            option = _OPTIONS[key]
+            if default is None:
+                shown = option.unset
+            else:
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                           type=option.type, metavar=option.metavar,
+                           choices=command.choices.get(key, option.choices),
+                           help=f"{option.help} (default: {shown})" if shown else option.help)
+    return parser
+
+
+def _validate(cfg: Dict[str, object]) -> None:
+    cmd = str(cfg["command"])
+    for key, option in _OPTIONS.items():
+        if key in cfg:
+            cfg[key] = option.check(cmd, key, cfg[key])
+    # Rules that span options; the s > 1/2 warning is in run_cli.
+    if cmd in ("evolve", "resonances") and cfg["preset"] is None and not cfg["coin_json"]:
+        raise _config_error("no model source: give --preset or --coin-json")
+    if cfg.get("preset") == "corner" and cfg.get("eps", 0.0) != 0.0 and not cfg.get("coin_json"):
+        raise _config_error(
+            "the corner preset is the closed model; use one-corner, two-corner "
+            "or phase-corner for eps > 0"
+        )
+
+
+def _resolve_config(ns: argparse.Namespace) -> Dict[str, object]:
+    cmd = ns.command
+    explicit = {k: v for k, v in vars(ns).items() if k != "command"}
+    merged: Dict[str, object] = {**_COMMON_DEFAULTS, **_COMMANDS[cmd].defaults}
+    path = explicit.get("config", None)
+    if path is not None:
+        doc = _load_json_file(path)
+        if not isinstance(doc, dict):
+            raise _config_error(f"{path} must hold a JSON object of options")
+        for key, value in doc.items():
+            if key == "command":
+                if value != cmd:
+                    raise _config_error(
+                        f"config file names command {value!r} but {cmd!r} was invoked"
+                    )
+                continue
+            if key not in merged:
+                raise _config_error(f"unknown config key {key!r} for {cmd}")
+            merged[key] = value
+    merged.update(explicit)
+    merged["command"] = cmd
+    _validate(merged)
+    return merged
 
 
 def _json_text(obj: object) -> str:
@@ -686,18 +592,18 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve_config(ns)
     except InputError as exc:
-        sys.stderr.write(_json_text({"error": {"reason": exc.reason, "type": exc.kind}}))
+        sys.stderr.write(_json_text({"error": {"reason": str(exc), "type": exc.kind}}))
         return exc.code
-    if cfg.get("s") is not None and float(cfg.get("s") or 0.0) > 0.5:
+    if cfg.get("s", 0.0) > 0.5:
         sys.stderr.write(
             f"warning: s = {cfg['s']} is outside the s <= 1/2 scaling regime; "
             "treat the output as experimental\n"
         )
     started = time.perf_counter()
     try:
-        payload, rows = _DISPATCH[cfg["command"]](cfg)
+        payload, rows = _COMMANDS[cfg["command"]].run(cfg)
     except InputError as exc:
-        sys.stderr.write(_json_text({"error": {"reason": exc.reason, "type": exc.kind}}))
+        sys.stderr.write(_json_text({"error": {"reason": str(exc), "type": exc.kind}}))
         return exc.code
     except ValueError as exc:
         sys.stderr.write(_json_text({"error": {"reason": str(exc), "type": "ConfigError"}}))

@@ -340,23 +340,20 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
         for iy in range(n):
             coins[ix, iy] = coin.coin_at((ix - r, iy - r))
 
+    # The one-site ring around the window, where amplitude leaving it lands.
+    ring = np.ones((n + 2, n + 2), dtype=bool)
+    ring[1:-1, 1:-1] = False
+
     for step in range(1, t + 1):
         mixed = np.einsum("xyjk,xyk->xyj", coins, active)
-        new = np.zeros_like(active)
-
-        # LEFT moves toward smaller x; the column leaving the window is banked.
-        new[:-1, :, LEFT] = mixed[1:, :, LEFT]
-        for iy in np.flatnonzero(mixed[0, :, LEFT]):
-            banked.append((-r - 1, int(iy) - r, LEFT, mixed[0, iy, LEFT], step))
-        new[1:, :, RIGHT] = mixed[:-1, :, RIGHT]
-        for iy in np.flatnonzero(mixed[-1, :, RIGHT]):
-            banked.append((r + 1, int(iy) - r, RIGHT, mixed[-1, iy, RIGHT], step))
-        new[:, :-1, DOWN] = mixed[:, 1:, DOWN]
-        for ix in np.flatnonzero(mixed[:, 0, DOWN]):
-            banked.append((int(ix) - r, -r - 1, DOWN, mixed[ix, 0, DOWN], step))
-        new[:, 1:, UP] = mixed[:, :-1, UP]
-        for ix in np.flatnonzero(mixed[:, -1, UP]):
-            banked.append((int(ix) - r, r + 1, UP, mixed[ix, -1, UP], step))
+        padded = np.zeros((n + 2, n + 2, 4), dtype=complex)
+        for j, (dx, dy) in enumerate(STEPS):
+            padded[1 + dx : n + 1 + dx, 1 + dy : n + 1 + dy, j] = mixed[:, :, j]
+        # Bank what landed on the ring by chirality, then in nonzero order: this
+        # order fixes the site order of the result.
+        for j, ix, iy in zip(*np.nonzero(ring & (padded != 0).transpose(2, 0, 1))):
+            banked.append((int(ix) - r - 1, int(iy) - r - 1, int(j), padded[ix, iy, j], step))
+        new = padded[1:-1, 1:-1].copy()
 
         if movers:
             advanced: Dict[Tuple[Site, int], complex] = {}

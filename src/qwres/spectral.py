@@ -253,7 +253,7 @@ class DeterminantFamily:
     def logdet(self, kappas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(log|D|, arg D) for a batch of kappas, overflow free."""
         kappas = np.asarray(kappas, dtype=complex).reshape(-1)
-        if self.trivial or self.m == 0:
+        if self.trivial:
             zero = np.zeros(kappas.shape, dtype=float)
             return zero, zero.copy()
         a = self.matrices(kappas)
@@ -271,7 +271,7 @@ class DeterminantFamily:
         """
         kappas = np.asarray(kappas, dtype=complex).reshape(-1)
         out = np.zeros(kappas.shape, dtype=complex)
-        if self.trivial or self.m == 0:
+        if self.trivial:
             return out
         chunk = max(1, _CHUNK_ENTRIES // self.m**2)
         for lo in range(0, len(kappas), chunk):
@@ -290,7 +290,7 @@ class DeterminantFamily:
         """(D(kappa), d/dkappa log D(kappa)); D may overflow deep in the strip."""
         mats = self.matrices(np.array([kappa]))
         sign, logabs = np.linalg.slogdet(mats[0] + np.eye(self.m))
-        dlog = 0.0j if self.trivial or self.m == 0 else complex(self._dlog_stack(mats)[0])
+        dlog = 0.0j if self.trivial else complex(self._dlog_stack(mats)[0])
         return complex(sign * np.exp(logabs)), dlog
 
     def abs_det(self, kappa: complex) -> float:

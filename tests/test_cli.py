@@ -13,10 +13,10 @@ import sys
 import numpy as np
 import pytest
 
-from qwres.cli import run_cli
+from qwres.cli import MODEL_PRESETS, run_cli
 from qwres.lattice import CoinField, coin_field_to_json, random_coin_field
 from qwres.shape import elastic_corner_coins, make_corner_family, make_shape_family
-from qwres.barrier import BarrierSpec
+from qwres.barrier import BarrierSpec, build_nonpenetrable
 from qwres.spectral import det_value
 
 TWO_PI = 2.0 * math.pi
@@ -111,6 +111,124 @@ class TestExitCodes:
     def test_success_exits_0(self, capsys):
         assert run_cli(["resonances", "--preset", "free"]) == 0
         capsys.readouterr()
+
+
+# One bad value per option, each given through --config: (command, extra
+# flags that make the rest of the run valid, option, bad value, expected
+# words in the reason).
+BAD_CONFIG_VALUES = [
+    ("resonances", ["--preset", "free"], "m0", 1.5, "m0"),
+    ("resonances", ["--preset", "free"], "m0", True, "m0"),
+    ("resonances", ["--preset", "free"], "eps", "x", "eps"),
+    ("resonances", ["--preset", "free"], "strip_depth", 100, "strip_depth"),
+    ("resonances", [], "preset", "nope", "preset"),
+    ("resonances", ["--preset", "free"], "emit", "xml", "emit"),
+    ("resonances", ["--preset", "free"], "emit", None, "emit"),
+    ("barrier-spec", [], "output", "", "output"),
+    ("evolve", [], "coin_json", 3, "coin_json"),
+    ("evolve", [], "site", [1], "site"),
+    ("evolve", [], "chirality", "sideways", "chirality"),
+    ("evolve", [], "t", -1, "t must"),
+    ("elastic-spec", [], "seed", -1, "seed"),
+    ("barrier-norms", [], "eps_grid", 0.1, "eps_grid"),
+    ("barrier-norms", [], "eps_grid", [0.1, 2], "eps_grid"),
+    ("barrier-norms", [], "eps_grid", None, "eps_grid"),
+    ("barrier-norms", ["--eps-grid", "0.16"], "mu0", 1e7, "mu0"),
+    ("corner-scan", ["--eps-grid", "0.1"], "threads", 0, "threads"),
+    ("corner-scan", ["--eps-grid", "0.1"], "s", 0, "s must"),
+    ("evolve", [], "preset", None, "no model source"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra, key, value, words", BAD_CONFIG_VALUES,
+    ids=[f"{c[0]}-{c[2]}={json.dumps(c[3])}" for c in BAD_CONFIG_VALUES])
+def test_bad_config_value_exits_4_naming_the_option(tmp_path, capsys, command, extra,
+                                                    key, value, words):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run_cli([command, "--config", str(conf)] + extra) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ConfigError"
+    assert words in err["reason"]
+
+
+def test_config_file_holding_a_list_exits_4(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps([1, 2]), encoding="utf-8")
+    assert run_cli(["barrier-spec", "--config", str(conf)]) == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert "JSON object" in err["reason"]
+
+
+# Every flag each subcommand accepts; each is also a config key, with '-'
+# replaced by '_'.
+COMMAND_FLAGS = {
+    "evolve": ["--preset", "--coin-json", "--m0", "--n0", "--M0", "--eps", "--seed",
+               "--site", "--chirality", "--t"],
+    "trace": ["--preset", "--m0", "--n0", "--M0", "--seed", "--site", "--chirality"],
+    "elastic-spec": ["--preset", "--m0", "--n0", "--M0", "--seed"],
+    "resonances": ["--preset", "--coin-json", "--m0", "--n0", "--M0", "--eps", "--seed",
+                   "--strip-depth", "--emit"],
+    "barrier-spec": ["--preset", "--coin-json", "--M0"],
+    "barrier-norms": ["--M0", "--mu0", "--eps-grid", "--s", "--samples", "--emit"],
+    "corner-scan": ["--preset", "--m0", "--n0", "--eps-grid", "--s", "--threads", "--emit"],
+    "shape-scan": ["--preset", "--M0", "--eps-grid", "--s", "--threads", "--emit"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_subcommand_help_names_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ["--config", "--output"] + COMMAND_FLAGS[command]:
+        assert flag + " " in text, flag
+
+
+def test_help_shows_defaults_and_choices(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["corner-scan", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for shown in ("{one-corner,two-corner,phase-corner}", "(default: one-corner)",
+                  "{csv,json}", "(default: csv)", "(default: 0.5)", "(default: 2)",
+                  "(default: env QWRES_THREADS, else 1)", "(default: -)"):
+        assert shown in text, shown
+    with pytest.raises(SystemExit):
+        run_cli(["evolve", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for shown in ("(default: free)", "(default: 0,0)", "(default: left)", "(default: 0.0)",
+                  "{left,right,down,up}", "(default: 1)"):
+        assert shown in text, shown
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--site", "1"], ["evolve", "--site", "a,b"],
+                                  ["corner-scan", "--eps-grid", "x"],
+                                  ["corner-scan", "--eps-grid", ","]])
+def test_malformed_flag_value_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", MODEL_PRESETS)
+def test_every_model_preset_evolves_through_the_cli(capsys, preset):
+    doc = run_json(capsys, ["evolve", "--preset", preset, "--t", "1"])
+    assert doc["config"]["preset"] == preset
+    assert doc["payload"]["norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_barrier_spec_reads_a_barrier_coin_document(tmp_path, capsys):
+    doc_path = tmp_path / "coin.json"
+    coin = build_nonpenetrable(BarrierSpec(1)).coin
+    doc_path.write_text(json.dumps(coin_field_to_json(coin)), encoding="utf-8")
+    doc = run_json(capsys, ["barrier-spec", "--coin-json", str(doc_path)])
+    assert doc["payload"]["N"] == 24
 
 
 class TestConfigMerging:
