@@ -94,6 +94,8 @@ def _load_json_file(path: str) -> object:
         raise InputError(3, "JsonError", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(3, "JsonError", f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(3, "JsonError", f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _site_flag(text: str) -> Tuple[int, int]:
@@ -518,8 +520,10 @@ def _validate(cfg: Dict[str, object]) -> None:
         if key in cfg:
             cfg[key] = option.check(cmd, key, cfg[key])
     # Rules that span options; the s > 1/2 warning is in run_cli.
-    if cmd in ("evolve", "resonances") and cfg["preset"] is None and not cfg["coin_json"]:
-        raise _config_error("no model source: give --preset or --coin-json")
+    # A command that takes a preset runs the model it names, or a coin document.
+    if "preset" in cfg and cfg["preset"] is None and not cfg.get("coin_json"):
+        sources = "--preset or --coin-json" if "coin_json" in cfg else "--preset"
+        raise _config_error(f"no model source: give {sources}")
     if cfg.get("preset") == "corner" and cfg.get("eps", 0.0) != 0.0 and not cfg.get("coin_json"):
         raise _config_error(
             "the corner preset is the closed model; use one-corner, two-corner "

@@ -37,6 +37,10 @@ strictly inside are added back to the count.  A bad candidate cannot change
 a count: a missing one leaves its zero's pole in the integrand, where the
 quadrature counts it as before, and a spurious one adds a pole whose
 winding cancels its own inside count.  It costs points, never correctness.
+So a deflated winding seeds only 2 Simpson panels per edge where a plain
+one seeds 8: the remainder is smooth on the scale of a small loop, and
+adaptive refinement still finds any unmatched pole.  Long edges get more
+panels from the highest frequency of M either way.
 A root's multiplicity is certified first on a small circle, where the
 trapezoid rule converges geometrically, and by a small rectangle only if
 the 16- and 32-point sums disagree.
@@ -79,15 +83,21 @@ class NumericalFailure(RuntimeError):
     """A spectral computation could not certify its own answer."""
 
 
-def _free_kernel_exponent(j: int, x: Tuple[int, int], y: Tuple[int, int]) -> Optional[int]:
-    """Exponent n with G_j(x, y) = -e^{i kappa n}, or None unless y is d >= 0 steps behind x."""
-    axis = STEP_AXIS[j]
-    if x[1 - axis] != y[1 - axis]:
-        return None
-    d = STEP_SIGN[j] * (x[axis] - y[axis])
-    if d < 0:
-        return None
-    return d + 1
+def _free_kernel_exponent(j, x, y) -> np.ndarray:
+    """Exponents n with G_j(x, y) = -e^{i kappa n}, and 0 where G_j(x, y) = 0.
+
+    G_j(x, y) is nonzero only where y is d >= 0 steps behind x along the
+    line of chirality j, and then n = d + 1.  Broadcasts over the
+    chiralities j and the sites x and y (the last axis of x and y holds the
+    two coordinates).
+    """
+    j = np.asarray(j)
+    along_x1 = np.asarray(STEP_AXIS)[j] == 0
+    offset = np.asarray(x) - np.asarray(y)
+    along = np.where(along_x1, offset[..., 0], offset[..., 1])
+    across = np.where(along_x1, offset[..., 1], offset[..., 0])
+    d = np.asarray(STEP_SIGN)[j] * along
+    return np.where((across == 0) & (d >= 0), d + 1, 0)
 
 
 def resolvent_kernel_entry(j: int, x: Tuple[int, int], y: Tuple[int, int], kappa: complex) -> complex:
@@ -99,8 +109,8 @@ def resolvent_kernel_entry(j: int, x: Tuple[int, int], y: Tuple[int, int], kappa
     these are the summable kernels of the honest resolvent and the formula
     itself continues entirely to all kappa.
     """
-    n = _free_kernel_exponent(j, tuple(x), tuple(y))
-    if n is None:
+    n = int(_free_kernel_exponent(j, x, y))
+    if n == 0:
         return 0.0j
     return -np.exp(1j * kappa * n)
 
@@ -205,25 +215,20 @@ class DeterminantFamily:
         )
         m = len(self.pairs)
         self.m = m
-        expo = np.zeros((m, m), dtype=float)
-        coeff = np.zeros((m, m), dtype=complex)
-        eye = np.eye(4)
-        deltas = {site: coin.coin_at(site) - eye for site in sites}
         # The free kernel is diagonal in chirality on the row index while the
         # coin increment mixes chiralities on the column one: the (row, col)
         # entry is K_j(x, y) * (C(y) - I)[j, k], and K_j(x, y) is the free
-        # kernel evaluated at y shifted one step along j.
-        for row, (x, j) in enumerate(self.pairs):
-            for col, (y, k) in enumerate(self.pairs):
-                shifted = (y[0] + STEPS[j][0], y[1] + STEPS[j][1])
-                n = _free_kernel_exponent(j, x, shifted)
-                if n is None:
-                    continue
-                c = -deltas[y][j, k]
-                if c == 0:
-                    continue
-                expo[row, col] = n
-                coeff[row, col] = c
+        # kernel evaluated at y shifted one step along j.  Indexed
+        # [x, j, y, k] with rows (x, j) and columns (y, k) in the order of
+        # self.pairs.
+        xy = np.array(sites, dtype=int).reshape(-1, 2)
+        shifted = xy[None, None, :, :] + np.array(STEPS)[None, :, None, :]
+        n = _free_kernel_exponent(np.array(CHIRALITIES)[None, :, None], xy[:, None, None, :], shifted)
+        c = -(np.array([coin.coin_at(site) for site in sites], dtype=complex).reshape(-1, 4, 4)
+              - np.eye(4)).transpose(1, 0, 2)[None]
+        keep = (n > 0)[..., None] & (c != 0)
+        expo = np.where(keep, n[..., None], 0.0).reshape(m, m)
+        coeff = np.where(keep, c, 0.0).reshape(m, m)
         self.expo = expo
         self.coeff = coeff
         self.trivial = not np.any(coeff)
@@ -360,17 +365,23 @@ def _contour_dlog_integral(
     the zeros' candidates (the deflated argument principle) removes that
     refinement wherever a candidate is right; where one is missing or
     spurious, the unmatched pole is refined and integrated as any other.
-    With no poles this is the plain integral of (log D)'.  All panels are
+    Each edge gets at least 2 seed panels when poles are subtracted and 8
+    when not: a deflated integrand has no zero to resolve near the edge
+    unless a candidate is wrong, and then refinement resolves it, while a
+    plain one (such as a fallback square around a root) keeps the wider
+    seed that makes its first error estimates trustworthy.  With no poles
+    this is the plain integral of (log D)'.  All panels are
     refined together, level by level, each level's new points in one batch.
     Raises _EdgeTrouble where the integrand is not finite on the contour or
     a level or the depth budget is exceeded.
     """
     corners = rect.corners()
     e_max = max(1, fam._top)
+    floor = 2 if poles.size else 8
     knots, tols = [], []
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
-        panels = max(8, int(np.ceil(abs(b - a) * 4.0 * e_max)))
+        panels = max(floor, int(np.ceil(abs(b - a) * 4.0 * e_max)))
         knots.append(a + (b - a) * np.arange(panels) / panels)
         tols.append(np.full(panels, _EDGE_TOL / panels))
     # The knots go once around the loop; each panel ends where the next starts.
@@ -734,7 +745,8 @@ def projection_element(
     a float half-width of a square centered at kappa0).  On the real axis
     this is the spectral projection of the unitary walk; below it, the
     residue pairing of the continued resolvent.  Trapezoid sums are doubled
-    until two refinements agree to 1e-8.
+    until two refinements agree to 1e-8, each doubling evaluating only the
+    new midpoints.
     """
     center = kappa0.kappa if isinstance(kappa0, Root) else complex(kappa0)
     if isinstance(loop, KappaRect):
@@ -743,22 +755,36 @@ def projection_element(
         rect = KappaRect.around(center, float(loop))
     pairing = ResolventPairing(coin, f, g)
     corners = rect.corners()
+    edges = list(zip(corners, corners[1:] + corners[:1]))
 
-    def integral(n_per_side: int) -> complex:
+    def integrand(zs: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * zs) * pairing.values(zs)
+
+    def integral() -> complex:
         total = 0.0j
-        for i in range(4):
-            a, b = corners[i], corners[(i + 1) % 4]
-            ts = np.linspace(0.0, 1.0, n_per_side + 1)
-            zs = a + (b - a) * ts
-            vals = np.exp(-1j * zs) * pairing.values(zs)
-            total += np.trapezoid(vals, zs)
+        for z, v in zip(zs, vals):
+            total += np.trapezoid(v, z)
         return total / TWO_PI
 
+    # Each doubling solves only the new midpoints: for n a power of two the
+    # even points of linspace(0, 1, 2n + 1) are those of linspace(0, 1, n + 1)
+    # to the last bit, and each point is solved on its own, so every level's
+    # sum is the one of evaluating all its points afresh.
     n = 16
-    prev = integral(n)
+    ts = np.linspace(0.0, 1.0, n + 1)
+    zs = [a + (b - a) * ts for a, b in edges]
+    vals = [integrand(z) for z in zs]
+    prev = integral()
     while n <= _MAX_LOOP_SAMPLES:
         n *= 2
-        cur = integral(n)
+        ts = np.linspace(0.0, 1.0, n + 1)
+        for i, (a, b) in enumerate(edges):
+            zs[i] = a + (b - a) * ts
+            v = np.empty(n + 1, dtype=complex)
+            v[0::2] = vals[i]
+            v[1::2] = integrand(zs[i][1::2])
+            vals[i] = v
+        cur = integral()
         if abs(cur - prev) < _PROJECTION_TOL:
             return complex(cur)
         prev = cur

@@ -59,6 +59,17 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "JsonError"
 
+    @pytest.mark.parametrize("flag", ["--config", "--coin-json"])
+    def test_config_file_not_utf8_exits_3(self, tmp_path, capsys, flag):
+        bad = tmp_path / "doc.json"
+        bad.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+        assert run_cli(["barrier-spec", flag, str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "JsonError"
+        assert "UTF-8" in err["reason"]
+
     def test_missing_config_file_exits_3(self, capsys):
         assert run_cli(["resonances", "--preset", "free", "--config", "/no/such/file.json"]) == 3
         capsys.readouterr()
@@ -137,6 +148,11 @@ BAD_CONFIG_VALUES = [
     ("corner-scan", ["--eps-grid", "0.1"], "threads", 0, "threads"),
     ("corner-scan", ["--eps-grid", "0.1"], "s", 0, "s must"),
     ("evolve", [], "preset", None, "no model source"),
+    ("trace", [], "preset", None, "no model source"),
+    ("elastic-spec", [], "preset", None, "no model source"),
+    ("barrier-spec", [], "preset", None, "no model source"),
+    ("corner-scan", ["--eps-grid", "0.1"], "preset", None, "no model source"),
+    ("shape-scan", ["--eps-grid", "0.1"], "preset", None, "no model source"),
 ]
 
 

@@ -41,7 +41,7 @@ from qwres.shape import (
     projection_difference,
     rebuild_family,
 )
-from qwres.spectral import KappaRect, NumericalFailure, locate_roots
+from qwres.spectral import KappaRect, NumericalFailure, ResolventPairing, locate_roots
 from qwres.translation import verify_outgoing
 
 TWO_PI = 2.0 * math.pi
@@ -526,6 +526,48 @@ class TestProjectionDifference:
             fam = make_shape_family(BarrierSpec(1), eps)
             sizes.append(abs(projection_difference(fam, math.pi / 2, f, g)))
         assert sizes[0] > sizes[1] > sizes[2]
+
+    @staticmethod
+    def fresh_projection(coin, rect, f, g):
+        """The projection's trapezoid sums with every level's points solved afresh."""
+        pairing = ResolventPairing(coin, f, g)
+        corners = rect.corners()
+
+        def integral(n):
+            total = 0.0j
+            for a, b in zip(corners, corners[1:] + corners[:1]):
+                zs = a + (b - a) * np.linspace(0.0, 1.0, n + 1)
+                total += np.trapezoid(np.exp(-1j * zs) * pairing.values(zs), zs)
+            return total / TWO_PI
+
+        n, prev = 16, integral(16)
+        while True:
+            n *= 2
+            cur = integral(n)
+            if abs(cur - prev) < 1e-8:
+                return complex(cur)
+            prev = cur
+
+    def test_each_trapezoid_point_is_solved_once(self, monkeypatch):
+        # Each doubling keeps the previous level's values, and the sums stay
+        # those of solving every level afresh (65,480 points for both members).
+        fam = make_shape_family(BarrierSpec(1), 0.2)
+        f = WalkState.delta((0, 0), LEFT)
+        loop = KappaRect.for_scale(math.pi / 2, 0.2)
+        fresh = (self.fresh_projection(fam.coin, loop, f, f)
+                 - self.fresh_projection(fam.base.coin, loop, f, f))
+        values = ResolventPairing.values
+        points = []
+
+        def spy(self, kappas):
+            kappas = np.asarray(kappas)
+            points.append(len(kappas))
+            return values(self, kappas)
+
+        monkeypatch.setattr(ResolventPairing, "values", spy)
+        value = projection_difference(fam, math.pi / 2, f, f)
+        assert sum(points) == 32_776
+        assert value == fresh
 
     def test_corner_family_uses_its_closed_member(self):
         fam = make_corner_family(1, 1, 0.3, "one-corner")

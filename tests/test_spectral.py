@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qwres import make_corner_family, spectral
+from qwres import BarrierSpec, make_corner_family, make_shape_family, spectral
 from qwres.elastic import random_permutation_coin
 from qwres.lattice import (
     CHIRALITIES,
@@ -188,6 +188,40 @@ def test_free_resolvent_element_is_the_kernel_sum():
         # The resolvent of the zero state is 0, also when no site spans a box.
         assert resolvent_matrix_element(free, kappa, WalkState(), g) == 0
         assert resolvent_matrix_element(free, kappa, WalkState(), WalkState()) == 0
+
+
+def entrywise_tables(coin):
+    """(expo, coeff) of M read off entry by entry from the free kernel's exponent."""
+    pairs = [(site, j) for site in coin.override_sites() for j in CHIRALITIES]
+    expo = np.zeros((len(pairs), len(pairs)))
+    coeff = np.zeros((len(pairs), len(pairs)), dtype=complex)
+    for row, (x, j) in enumerate(pairs):
+        for col, (y, k) in enumerate(pairs):
+            n = int(spectral._free_kernel_exponent(j, x, (y[0] + STEPS[j][0], y[1] + STEPS[j][1])))
+            c = -(coin.coin_at(y) - np.eye(4))[j, k]
+            if n and c != 0:
+                expo[row, col], coeff[row, col] = n, c
+    return expo, coeff
+
+
+TABLE_FIELDS = (
+    [lambda p=p: make_corner_family(2, 2, 0.2, p).coin for p in CORNER_PRESETS]
+    + [lambda: make_corner_family(1, 3, 0.0, "one-corner").coin]
+    + [lambda m0=m0: make_shape_family(BarrierSpec(m0), 0.15).coin for m0 in (1, 2)]
+    + [lambda s=s: random_coin_field(2, seed=s, density=0.5) for s in (0, 1, 2)]
+    + [lambda: random_permutation_coin(2, 1).to_coin_field(), lambda: CoinField(1, {})]
+)
+
+
+@pytest.mark.parametrize("build", TABLE_FIELDS, ids=[
+    *(f"corner-{p}" for p in CORNER_PRESETS), "closed-1x3", "shape-1", "shape-2",
+    "random-0", "random-1", "random-2", "elastic-r2", "identity"])
+def test_family_tables_match_the_entrywise_definition(build):
+    coin = build()
+    fam = DeterminantFamily(coin)
+    expo, coeff = entrywise_tables(coin)
+    assert fam.expo.dtype == expo.dtype and fam.coeff.dtype == coeff.dtype
+    assert np.array_equal(fam.expo, expo) and np.array_equal(fam.coeff, coeff)
 
 
 def test_identity_coin_has_trivial_determinant():
@@ -459,6 +493,94 @@ def test_deflation_skips_a_candidate_next_to_an_edge(monkeypatch, im_max):
     fam = DeterminantFamily(CoinField(1, one_corner_coins(0.6)))
     rect = KappaRect(np.pi / 2 - 1e-9, np.pi / 2 + 0.5, -0.05, im_max)
     assert winding_number(fam, rect) == 1
+
+
+# The bad-candidate stress: fields, with the depth of their strip.  The
+# elastic field's full strip is left out: deep in it (log D)' from I + M is
+# rounding noise, and its winding refuses only after minutes.
+STRESS_FIELDS = [
+    ("one-corner 2x2 eps 0.2", lambda: make_corner_family(2, 2, 0.2, "one-corner").coin, 2.0),
+    ("closed corner 2x2", lambda: make_corner_family(2, 2, 0.0, "one-corner").coin, 2.0),
+    ("random r1 seed 3", lambda: random_coin_field(1, seed=3), 0.5),
+    ("elastic r2 seed 1", lambda: random_permutation_coin(2, 1).to_coin_field(), None),
+]
+STRESS_HALF_WIDTHS = (1e-8, 1e-6, 1e-3, 0.05)
+STRESS_TRIALS = 48
+
+
+def stress_rect(rng, kappas, depth):
+    """A seeded rectangle: the strip, the +-1e-3 full-period band, or a square around a root."""
+    kinds = (["strip"] if depth else []) + ["band", "square"]
+    kind = kinds[rng.integers(len(kinds))]
+    shift, period = spectral.STRIP_SHIFT, 2 * np.pi
+    if kind == "strip":
+        return kind, KappaRect(shift, shift + period, -depth, spectral.STRIP_IM_MAX)
+    if kind == "band":
+        return kind, KappaRect(shift, shift + period, -1e-3, 1e-3)
+    roots = kappas[kappas.imag >= -(depth or 1e-3)]
+    half = STRESS_HALF_WIDTHS[rng.integers(len(STRESS_HALF_WIDTHS))]
+    return f"square {half:g}", KappaRect.around(roots[rng.integers(len(roots))], half)
+
+
+def stress_candidates(rng, kappas, rect):
+    """The candidates with one seeded fault: a drop, a move or a spurious addition."""
+    near = np.flatnonzero([spectral._copies_in(np.array([z]), rect.expanded(0.5)).size
+                           for z in kappas])
+    pick = int(near[rng.integers(len(near))]) if near.size else int(rng.integers(len(kappas)))
+    fault = ("drop", "move", "spurious")[rng.integers(3)]
+    if fault == "drop":
+        return f"drop {kappas[pick]:.6g}", np.delete(kappas, pick)
+    if fault == "move":
+        step = 10.0 ** rng.uniform(-9, -2) * np.exp(2j * np.pi * rng.uniform())
+        moved = kappas.copy()
+        moved[pick] += step
+        return f"move {kappas[pick]:.6g} by {step:.2e}", moved
+    # A point on the boundary, then pushed off it by nothing, a little, or far.
+    corners = rect.corners()
+    side = int(rng.integers(4))
+    a, b = corners[side], corners[(side + 1) % 4]
+    outward = -1j * (b - a) / abs(b - a)
+    where = ("on", "near", "far")[rng.integers(3)]
+    offset = {"on": 0.0, "near": 10.0 ** rng.uniform(-9, -3), "far": 0.25}[where]
+    z = a + (b - a) * rng.uniform() + outward * offset * rng.choice([-1.0, 1.0])
+    if where == "far" and not rect.contains(z):
+        z = complex(0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max))
+    return f"spurious {where} {z:.6g}", np.append(kappas, z)
+
+
+def test_bad_candidates_never_change_a_count(monkeypatch):
+    # Seeded sample of the drops, moves and spurious candidates a wrong
+    # eigenvalue solver could hand the deflated winding: each must cost
+    # points only, never the count.  The reference is the number of zeros
+    # the eigenproblem puts inside, which no quadrature floor enters; the
+    # unperturbed winding must give it too.  Refusing is allowed but rare.
+    full = spectral._zero_candidates
+    current = {}
+    monkeypatch.setattr(spectral, "_zero_candidates", lambda fam: current["kappas"])
+    fields = [(name, build(), depth) for name, build, depth in STRESS_FIELDS]
+    truths = {name: full(DeterminantFamily(coin)) for name, coin, _ in fields}
+    counts = {}
+    rng = np.random.default_rng(20261018)
+    wrong, refused = [], []
+    for _ in range(STRESS_TRIALS):
+        name, coin, depth = fields[rng.integers(len(fields))]
+        kappas = truths[name]
+        kind, rect = stress_rect(rng, kappas, depth)
+        if (name, rect) not in counts:
+            zeros = spectral._copies_in(kappas, rect).size
+            current["kappas"] = kappas
+            assert winding_number(DeterminantFamily(coin), rect) == zeros, (name, kind, rect)
+            counts[name, rect] = zeros
+        fault, current["kappas"] = stress_candidates(rng, kappas, rect)
+        try:
+            count = winding_number(DeterminantFamily(coin), rect)
+        except NumericalFailure:
+            refused.append(f"{name}, {kind} {rect}, {fault}")
+            continue
+        if count != counts[name, rect]:
+            wrong.append(f"{name}, {kind} {rect}, {fault}: {count} != {counts[name, rect]}")
+    assert not wrong, wrong
+    assert len(refused) <= STRESS_TRIALS // 16, refused
 
 
 def test_locate_roots_evaluates_few_points(monkeypatch):
