@@ -56,7 +56,6 @@ from .shape import (
     CORNER_PRESETS,
     closed_spectrum_phases,
     corner_permutation_field,
-    elastic_corner_coins,
     make_corner_family,
     make_shape_family,
     migration_scan,
@@ -241,8 +240,7 @@ _OPTIONS: Dict[str, _Option] = {
 # Model preset -> the coin field it builds from a validated configuration.
 _MODEL_BUILDERS: Dict[str, Callable[[Dict[str, object]], CoinField]] = {
     "free": lambda cfg: CoinField(0, {}),
-    "corner": lambda cfg: CoinField(max(cfg["m0"], cfg["n0"]),
-                                    elastic_corner_coins(cfg["m0"], cfg["n0"])),
+    "corner": lambda cfg: corner_permutation_field(cfg["m0"], cfg["n0"]).to_coin_field(),
     **dict.fromkeys(CORNER_PRESETS, lambda cfg: make_corner_family(
         cfg["m0"], cfg["n0"], cfg["eps"], cfg["preset"]).coin),
     "barrier-trivial": lambda cfg: build_nonpenetrable(BarrierSpec(cfg["M0"])).coin,

@@ -35,9 +35,10 @@ _IDENTITY4.setflags(write=False)
 
 
 def unitarity_residual(m: np.ndarray) -> float:
-    """Max-abs entry of M*M - I."""
+    """Max-abs entry of M*M - I; NaN when M has a non-finite entry."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
 class WalkState:
@@ -173,7 +174,8 @@ class CoinField:
             if m.shape != (4, 4):
                 raise ValueError(f"coin at {x} has shape {m.shape}, expected (4, 4)")
             res = unitarity_residual(m)
-            if res > UNITARITY_TOL:
+            # Written so that a NaN residual fails too.
+            if not res <= UNITARITY_TOL:
                 raise ValueError(
                     f"coin at {x} is not unitary (residual {res:.3e} > {UNITARITY_TOL:.0e})"
                 )
@@ -204,12 +206,6 @@ class WalkOperator:
     """One-step walk operator: coin multiplication followed by the shift."""
 
     coin: CoinField
-
-    def apply(self, u: WalkState) -> WalkState:
-        return apply_walk(self, u)
-
-    def evolve(self, u: WalkState, t: int) -> WalkState:
-        return evolve(self, u, t)
 
 
 def _coin_field_of(op) -> CoinField:
@@ -307,6 +303,7 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     """
     if int(t) != t or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t}")
+    t = int(t)
     coin = _coin_field_of(op)
     if t == 0:
         return WalkState._wrap({s: v.copy() for s, v in u.items()})
@@ -417,6 +414,10 @@ def random_coin_field(box_radius: int, seed: int, density: float = 1.0) -> CoinF
     return CoinField(box_radius, overrides)
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def coin_field_from_json(doc: dict) -> CoinField:
     """Build a coin field from the interchange document.
 
@@ -428,14 +429,16 @@ def coin_field_from_json(doc: dict) -> CoinField:
     unknown = set(doc) - {"M0", "coins"}
     if unknown:
         raise ValueError(f"unknown keys in coin document: {sorted(unknown)}")
-    try:
-        m0 = int(doc["M0"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("coin document needs an integer 'M0'") from exc
+    m0 = doc.get("M0")
+    if not _is_integer(m0):
+        raise ValueError(f"coin document needs an integer 'M0', got {m0!r}")
+    entries = doc.get("coins", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"'coins' must be a list of coin entries, got {entries!r}")
     overrides: Dict[Site, np.ndarray] = {}
-    for entry in doc.get("coins", []):
+    for entry in entries:
         try:
-            site = (int(entry["x"][0]), int(entry["x"][1]))
+            x = entry["x"]
             rows = entry["m"]
             mat = np.array(
                 [[complex(cell[0], cell[1]) for cell in row] for row in rows],
@@ -443,6 +446,11 @@ def coin_field_from_json(doc: dict) -> CoinField:
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed coin entry: {entry!r}") from exc
+        if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_integer, x))):
+            raise ValueError(f"coin entry site must be a pair of integers, got {x!r}")
+        site = (x[0], x[1])
+        if site in overrides:
+            raise ValueError(f"coin entry site {x!r} is listed twice")
         overrides[site] = mat
     return CoinField(m0, overrides)
 

@@ -45,7 +45,6 @@ from .lattice import (
     WalkOperator,
     WalkState,
     apply_walk,
-    unitarity_residual,
 )
 from .spectral import (
     TWO_PI,
@@ -66,7 +65,6 @@ PLUS = "plus"
 MINUS = "minus"
 CORNER_PRESETS = ("one-corner", "two-corner", "phase-corner")
 
-_UNITARY_TOL = 1e-12
 _ZERO_TOL = 1e-14
 _DEVIATION_SLACK = 1e-12
 _CLOSURE_TOL = 1e-9
@@ -79,58 +77,51 @@ def corner_sites(m0: int, n0: int) -> Tuple[Site, Site, Site, Site]:
     return ((0, 0), (m0, 0), (m0, n0), (0, n0))
 
 
-def _permutation_coin(targets: Mapping[int, int]) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for col, row in targets.items():
-        m[row, col] = 1.0
-    return m
-
-
-def elastic_corner_coins(m0: int, n0: int) -> Dict[Site, np.ndarray]:
-    """Corner coins that close both boundary circulations of the rectangle.
-
-    Column j of a coin says where amplitude arriving in chirality j is sent.
-    One circulation climbs the left edge, crosses the top, descends the right
-    edge and returns along the bottom; the other runs the same boundary in
-    the opposite sense.  The four permutations route each circulation into
-    itself with no cross-feed, so at ``eps = 0`` every boundary mode is an
-    eigenvalue.
-    """
-    if m0 < 1 or n0 < 1:
-        raise ValueError(f"rectangle needs m0, n0 >= 1, got {m0}, {n0}")
-    return {
-        (0, 0): _permutation_coin({LEFT: UP, RIGHT: LEFT, DOWN: RIGHT, UP: DOWN}),
-        (m0, 0): _permutation_coin({LEFT: RIGHT, RIGHT: UP, DOWN: LEFT, UP: DOWN}),
-        (m0, n0): _permutation_coin({LEFT: RIGHT, RIGHT: DOWN, DOWN: UP, UP: LEFT}),
-        (0, n0): _permutation_coin({LEFT: DOWN, RIGHT: LEFT, DOWN: UP, UP: RIGHT}),
-    }
+# The closed routing, one permutation per site of corner_sites in chirality
+# order: entry j is where amplitude arriving in chirality j is sent.
+_CORNER_ROUTES = (
+    (UP, LEFT, RIGHT, DOWN),
+    (RIGHT, UP, LEFT, DOWN),
+    (RIGHT, DOWN, UP, LEFT),
+    (DOWN, LEFT, UP, RIGHT),
+)
 
 
 def corner_permutation_field(m0: int, n0: int) -> PermutationCoin:
     """The closed corner model as an elastic permutation field.
 
-    Same routing as :func:`elastic_corner_coins`, exposed at the permutation
-    level so trajectory tracing and the quantization condition can consume
-    the model directly.
+    One circulation climbs the left edge, crosses the top, descends the right
+    edge and returns along the bottom; the other runs the same boundary in
+    the opposite sense.  The four corner permutations route each circulation
+    into itself with no cross-feed, so every boundary mode is an eigenvalue.
     """
-    perms = {}
-    for site, mat in elastic_corner_coins(m0, n0).items():
-        perms[site] = tuple(int(r) for r in np.argmax(np.abs(mat), axis=0))
-    return PermutationCoin(max(m0, n0), perms)
+    if m0 < 1 or n0 < 1:
+        raise ValueError(f"rectangle needs m0, n0 >= 1, got {m0}, {n0}")
+    return PermutationCoin(max(m0, n0), dict(zip(corner_sites(m0, n0), _CORNER_ROUTES)))
+
+
+def elastic_corner_coins(m0: int, n0: int) -> Dict[Site, np.ndarray]:
+    """The corner coins of :func:`corner_permutation_field` as matrices.
+
+    Column j of a coin says where amplitude arriving in chirality j is sent.
+    """
+    return corner_permutation_field(m0, n0).to_coin_field().overrides
 
 
 def _cross_feed_zeros(m0: int, n0: int) -> Tuple[Tuple[Site, int, int], ...]:
-    """Entries that must vanish for the two circulations to stay decoupled."""
-    return (
-        ((0, 0), RIGHT, LEFT),
-        ((0, 0), UP, DOWN),
-        ((m0, 0), UP, DOWN),
-        ((m0, 0), LEFT, RIGHT),
-        ((m0, n0), DOWN, UP),
-        ((m0, n0), LEFT, RIGHT),
-        ((0, n0), RIGHT, LEFT),
-        ((0, n0), DOWN, UP),
-    )
+    """Entries (site, row, col) that must vanish for the circulations to stay decoupled.
+
+    At a corner the two circulations arrive on the chiralities whose previous
+    site lies in the rectangle, and neither may feed the other's exit.
+    """
+    zeros = []
+    for site, route in zip(corner_sites(m0, n0), _CORNER_ROUTES):
+        a, b = (
+            j for j in CHIRALITIES
+            if 0 <= site[0] - STEPS[j][0] <= m0 and 0 <= site[1] - STEPS[j][1] <= n0
+        )
+        zeros += [(site, route[b], a), (site, route[a], b)]
+    return tuple(zeros)
 
 
 class CornerFamily:
@@ -153,8 +144,7 @@ class CornerFamily:
     ):
         m0 = int(m0)
         n0 = int(n0)
-        if m0 < 1 or n0 < 1:
-            raise ValueError(f"rectangle needs m0, n0 >= 1, got {m0}, {n0}")
+        base = elastic_corner_coins(m0, n0)
         eps = float(eps)
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -164,27 +154,16 @@ class CornerFamily:
             raise ValueError(
                 f"corner coins must be given at exactly {sorted(set(corners))}, got {sorted(given)}"
             )
-        base = elastic_corner_coins(m0, n0)
-        stored: Dict[Site, np.ndarray] = {}
+        coin = CoinField(max(m0, n0), {site: coins[site] for site in corners})
         for site in corners:
-            mat = np.array(coins[site], dtype=complex)
-            if mat.shape != (4, 4):
-                raise ValueError(f"coin at {site} must be 4 x 4, got shape {mat.shape}")
-            residual = unitarity_residual(mat)
-            if residual > _UNITARY_TOL:
-                raise ValueError(
-                    f"coin at {site} is not unitary (residual {residual:.3e})"
-                )
-            deviation = float(np.max(np.abs(mat - base[site])))
+            deviation = float(np.max(np.abs(coin.coin_at(site) - base[site])))
             if deviation > eps + _DEVIATION_SLACK:
                 raise ValueError(
                     f"coin at {site} deviates {deviation:.3e} from the closed corner, "
                     f"beyond eps = {eps}"
                 )
-            mat.setflags(write=False)
-            stored[site] = mat
         for site, row, col in _cross_feed_zeros(m0, n0):
-            leak = abs(stored[site][row, col])
+            leak = abs(coin.coin_at(site)[row, col])
             if leak > _ZERO_TOL:
                 raise ValueError(
                     f"cross-feed entry ({row}, {col}) at {site} must vanish, got {leak:.3e}"
@@ -193,9 +172,9 @@ class CornerFamily:
         self.n0 = n0
         self.eps = eps
         self.preset = preset
-        self.box_radius = max(m0, n0)
+        self.box_radius = coin.box_radius
         self.period = 2 * (m0 + n0)
-        self.coin = CoinField(self.box_radius, stored)
+        self.coin = coin
         self.operator = WalkOperator(self.coin)
 
     def coin_at(self, site: Site) -> np.ndarray:
@@ -769,7 +748,7 @@ def _closed_coin(fam) -> CoinField:
     if isinstance(fam, ShapeFamily):
         return fam.base.coin
     if isinstance(fam, CornerFamily):
-        return rebuild_family(fam, 0.0).coin
+        return corner_permutation_field(fam.m0, fam.n0).to_coin_field()
     raise TypeError(f"no closed member is defined for {type(fam).__name__}")
 
 

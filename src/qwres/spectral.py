@@ -733,7 +733,7 @@ _MAX_LOOP_SAMPLES = 1 << 15
 
 def projection_element(
     coin: CoinField,
-    kappa0,
+    kappa0: complex,
     loop,
     f: WalkState,
     g: WalkState,
@@ -748,7 +748,7 @@ def projection_element(
     until two refinements agree to 1e-8, each doubling evaluating only the
     new midpoints.
     """
-    center = kappa0.kappa if isinstance(kappa0, Root) else complex(kappa0)
+    center = complex(kappa0)
     if isinstance(loop, KappaRect):
         rect = loop
     else:

@@ -338,6 +338,19 @@ class TestEvolveCommand:
         assert run_cli(["evolve", "--coin-json", str(doc_path)]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["evolve", "--t", "2"], ["resonances"]])
+    def test_coin_json_with_a_nan_entry_exits_4(self, tmp_path, capsys, command):
+        doc = coin_field_to_json(CoinField(1, {(0, 0): np.eye(4)}))
+        doc["coins"][0]["m"][0][0] = [float("nan"), 0.0]
+        doc_path = tmp_path / "coin.json"
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(command + ["--coin-json", str(doc_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "not unitary" in err["reason"]
+
 
 class TestTraceAndElasticSpec:
     def test_trace_boundary_start_closes(self, capsys):

@@ -110,6 +110,14 @@ def test_evolve_matches_repeated_single_steps():
     assert evolve(op, u, 9).allclose(stepped, tol=1e-12)
 
 
+def test_evolve_takes_an_integral_float_step_count():
+    op = WalkOperator(random_coin_field(1, seed=3))
+    u = WalkState.delta((0, 0), DOWN)
+    assert evolve(op, u, 3.0).allclose(evolve(op, u, 3), tol=0.0)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        evolve(op, u, 2.5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -156,6 +164,14 @@ def test_coin_field_rejects_non_unitary():
         CoinField(1, {(0, 0): bad})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_coin_field_rejects_non_finite_entries(value):
+    bad = np.eye(4, dtype=complex)
+    bad[2, 1] = value
+    with pytest.raises(ValueError, match="not unitary"):
+        CoinField(1, {(0, 0): bad})
+
+
 def test_coin_field_rejects_site_outside_box():
     with pytest.raises(ValueError, match="outside box"):
         CoinField(1, {(2, 0): np.eye(4)})
@@ -173,6 +189,25 @@ def test_coin_json_round_trip():
 def test_coin_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown keys"):
         coin_field_from_json({"M0": 1, "coins": [], "extra": 1})
+
+
+IDENTITY_CELLS = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("doc, names", [
+    ({"M0": 1, "coins": 5}, "'coins'"),
+    ({"M0": 2.9, "coins": []}, "'M0'"),
+    ({"M0": True, "coins": []}, "'M0'"),
+    ({"M0": "2", "coins": []}, "'M0'"),
+    ({"M0": 1, "coins": [{"x": [0.7, 0], "m": IDENTITY_CELLS}]}, r"\[0\.7, 0\]"),
+    ({"M0": 1, "coins": [{"x": [0, 0, 5], "m": IDENTITY_CELLS}]}, r"\[0, 0, 5\]"),
+    ({"M0": 1, "coins": [{"x": [1, 0], "m": IDENTITY_CELLS},
+                         {"x": [1, 0], "m": IDENTITY_CELLS}]}, r"\[1, 0\] is listed twice"),
+], ids=["coins-not-a-list", "M0-float", "M0-bool", "M0-string", "site-float", "site-triple",
+        "site-repeated"])
+def test_coin_json_rejects_each_malformed_entry(doc, names):
+    with pytest.raises(ValueError, match=names):
+        coin_field_from_json(doc)
 
 
 def test_inner_product_is_linear_in_first_argument():

@@ -577,3 +577,15 @@ class TestProjectionDifference:
         assert np.isfinite(value.real) and np.isfinite(value.imag)
         with pytest.raises(ValueError, match="eps > 0"):
             projection_difference(make_corner_family(1, 1, 0.0), math.pi / 2, f, g)
+
+    @pytest.mark.parametrize("preset", CORNER_PRESETS)
+    def test_custom_corner_family_has_the_same_closed_member(self, preset):
+        # A family built from bare coins (no preset) still has its closed
+        # member, the table's coins, so its projection difference is the
+        # preset family's to the bit.
+        fam = make_corner_family(1, 1, 0.3, preset)
+        custom = CornerFamily(1, 1, 0.3, None, fam.coin.overrides)
+        f = WalkState.delta((0, 0), LEFT)
+        g = WalkState.delta((0, 1), UP)
+        assert projection_difference(custom, math.pi / 2, f, g) == projection_difference(
+            fam, math.pi / 2, f, g)

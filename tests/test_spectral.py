@@ -583,6 +583,57 @@ def test_bad_candidates_never_change_a_count(monkeypatch):
     assert len(refused) <= STRESS_TRIALS // 16, refused
 
 
+def companion_kappas(fam):
+    """Every zero of D from a block companion of the coefficients of M.
+
+    D = det(I + sum_n C_n z^n) with z = e^{i kappa} and C_n the part of coeff
+    with exponent n.  The reversed polynomial is monic, so its companion
+    holds every finite zero y = 1/z = e^{-i kappa}; y = 0 is z at infinity.
+    Nothing here touches the box walk that supplies locate_roots' candidates.
+    """
+    m, top = fam.m, int(fam.expo.max())
+    comp = np.zeros((m * top, m * top), dtype=complex)
+    comp[: m * (top - 1), m:] = np.eye(m * (top - 1))
+    for n in range(1, top + 1):
+        comp[m * (top - 1):, m * (top - n): m * (top - n + 1)] = -np.where(
+            fam.expo == n, fam.coeff, 0.0)
+    ys = np.linalg.eigvals(comp)
+    ys = ys[ys != 0]
+    return -np.angle(ys) + 1j * np.log(np.abs(ys))
+
+
+TWO_ENGINE_FIELDS = (
+    [(f"r1 seed {s}", lambda s=s: random_coin_field(1, s), 0.5) for s in range(6)]
+    + [(f"r2 seed {s}", lambda s=s: random_coin_field(2, s, density=0.4), 0.5) for s in range(3)]
+    + [(f"{p} {m0}x{n0} eps {eps}", lambda p=p, m0=m0, n0=n0, eps=eps:
+        make_corner_family(m0, n0, eps, p).coin, 2.0)
+       for p in CORNER_PRESETS for m0, n0, eps in ((1, 1, 0.3), (2, 1, 0.1), (2, 2, 0.2))]
+)
+
+
+@pytest.mark.parametrize("name, build, depth", TWO_ENGINE_FIELDS,
+                         ids=[name for name, _, _ in TWO_ENGINE_FIELDS])
+def test_locate_roots_agrees_with_the_companion(name, build, depth):
+    # Two engines: locate_roots takes its candidates from the box walk, the
+    # companion from the kernel coefficients.  Zeros within 1e-6 of the
+    # bottom edge are left out on both sides, where either may fall outside.
+    fam = DeterminantFamily(build())
+    region = KappaRect(spectral.STRIP_SHIFT, spectral.STRIP_SHIFT + 2 * np.pi, -depth,
+                       spectral.STRIP_IM_MAX)
+    zeros = companion_kappas(fam)
+    assert zeros.imag.max() <= 1e-8
+    zeros = zeros[zeros.imag >= -depth + 1e-6]
+    roots = [r for r in locate_roots(fam, region) if r.kappa.imag >= -depth + 1e-6]
+    assert sum(r.multiplicity for r in roots) == len(zeros)
+    free = np.ones(len(zeros), dtype=bool)
+    for root in roots:
+        offset = zeros - root.kappa
+        dist = np.abs((offset.real + np.pi) % (2 * np.pi) - np.pi + 1j * offset.imag)
+        nearest = np.argsort(np.where(free, dist, np.inf), kind="stable")[: root.multiplicity]
+        assert dist[nearest].max() <= 1e-8, (root, zeros[nearest])
+        free[nearest] = False
+
+
 def test_locate_roots_evaluates_few_points(monkeypatch):
     # Deflation and the circle certificates keep the strip winding and the
     # verifications to a few points per root; the plain adaptive windings
