@@ -10,6 +10,7 @@ Coins differ from the identity only inside the square box |x1| <= M0,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Tuple
 
@@ -64,10 +65,15 @@ class WalkState:
                     self._amp[(int(site[0]), int(site[1]))] = v.copy()
 
     @classmethod
-    def _wrap(cls, amp: Dict[Site, np.ndarray]) -> "WalkState":
+    def _adopt(cls, amp: Dict[Site, np.ndarray]) -> "WalkState":
+        """Wrap a site map that holds no all-zero vector, without copying."""
         out = cls.__new__(cls)
-        out._amp = {s: v for s, v in amp.items() if np.any(v != 0)}
+        out._amp = amp
         return out
+
+    @classmethod
+    def _wrap(cls, amp: Dict[Site, np.ndarray]) -> "WalkState":
+        return cls._adopt({s: v for s, v in amp.items() if np.any(v != 0)})
 
     @classmethod
     def delta(cls, site: Site, chirality: int, value: complex = 1.0) -> "WalkState":
@@ -248,19 +254,22 @@ def compress_walk(op, pairs) -> Tuple[np.ndarray, float]:
     read off on the pairs; leak is the largest amplitude of those steps that
     lands outside them (0 exactly when the pairs span an invariant space).
     """
+    coin = _coin_field_of(op)
     index = {pair: i for i, pair in enumerate(pairs)}
     matrix = np.zeros((len(pairs), len(pairs)), dtype=complex)
     leak = 0.0
-    for col, (site, j) in enumerate(pairs):
-        for target, amp in apply_walk(op, WalkState.delta(site, j)).items():
-            for k in CHIRALITIES:
-                if amp[k] == 0:
-                    continue
-                row = index.get((target, k))
-                if row is None:
-                    leak = max(leak, abs(amp[k]))
-                else:
-                    matrix[row, col] = amp[k]
+    for col, ((x, y), j) in enumerate(pairs):
+        # The delta on (x, j) steps to coin[k, j] on (x + e_k, k).  Zero
+        # entries are skipped and the rest added to the zero matrix, as one
+        # walk step adds them to a zero state.
+        for k, a in enumerate(coin.coin_at((x, y))[:, j]):
+            if a == 0:
+                continue
+            row = index.get(((x + STEPS[k][0], y + STEPS[k][1]), k))
+            if row is None:
+                leak = max(leak, abs(a))
+            else:
+                matrix[row, col] += a
     return matrix, leak
 
 
@@ -300,6 +309,16 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     (the box dilated by one) is evolved step by step, which keeps the cost
     per step independent of t and makes horizons of 10^4 steps cheap while
     remaining exact.
+
+    The window's outflow is banked in a ``(t, 4n)`` array, n = 2 M0 + 3 the
+    window's side, so it holds t * 4(2 M0 + 3) complex numbers.  Row s - 1
+    holds the exit amplitudes of step s (chirality j at the window's last
+    site along j), ordered left, right, down, up and along each side.  The
+    result lists the window's sites, then the sites of amplitude still moving
+    in, then the free-flight targets of what was banked at t = 0 and of the
+    outflow by step.  A site keeps the place where it first occurs, and
+    amplitudes that meet at a site are added in that order.  Site
+    coordinates must fit in 64-bit integers.
     """
     if int(t) != t or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t}")
@@ -314,7 +333,7 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
 
     active = np.zeros((n, n, 4), dtype=complex)
     movers: Dict[Tuple[Site, int], complex] = {}
-    banked: list[Tuple[int, int, int, complex, int]] = []  # (x, y, chirality, value, t_emit)
+    banked: list[Tuple[int, int, int, complex]] = []  # (x, y, chirality, value) at t = 0
 
     for site, vec in u.items():
         x, y = site
@@ -326,7 +345,7 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
             if a == 0:
                 continue
             if not ray_meets_box(site, j, m0):
-                banked.append((x, y, j, a, 0))
+                banked.append((x, y, j, a))
             else:
                 key = (site, j)
                 movers[key] = movers.get(key, 0.0) + a
@@ -337,20 +356,24 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
         for iy in range(n):
             coins[ix, iy] = coin.coin_at((ix - r, iy - r))
 
-    # The one-site ring around the window, where amplitude leaving it lands.
-    ring = np.ones((n + 2, n + 2), dtype=bool)
-    ring[1:-1, 1:-1] = False
+    # The shift on the flattened window: entry src moves to entry dst, and the
+    # exit entries leave it for the ring of sites around it.
+    steps = np.array(STEPS)
+    wx, wy, wj = np.indices((n, n, 4)).reshape(3, -1)
+    to_x, to_y = wx + steps[wj, 0], wy + steps[wj, 1]
+    inside = (0 <= to_x) & (to_x < n) & (0 <= to_y) & (to_y < n)
+    src = np.flatnonzero(inside)
+    dst = (to_x[src] * n + to_y[src]) * 4 + wj[src]
+    exit_idx = np.flatnonzero(~inside)
+    exit_idx = exit_idx[np.argsort(wj[exit_idx], kind="stable")]
 
-    for step in range(1, t + 1):
-        mixed = np.einsum("xyjk,xyk->xyj", coins, active)
-        padded = np.zeros((n + 2, n + 2, 4), dtype=complex)
-        for j, (dx, dy) in enumerate(STEPS):
-            padded[1 + dx : n + 1 + dx, 1 + dy : n + 1 + dy, j] = mixed[:, :, j]
-        # Bank what landed on the ring by chirality, then in nonzero order: this
-        # order fixes the site order of the result.
-        for j, ix, iy in zip(*np.nonzero(ring & (padded != 0).transpose(2, 0, 1))):
-            banked.append((int(ix) - r - 1, int(iy) - r - 1, int(j), padded[ix, iy, j], step))
-        new = padded[1:-1, 1:-1].copy()
+    exits = np.empty((t, exit_idx.size), dtype=complex)
+    for step in range(t):
+        mixed = np.einsum("xyjk,xyk->xyj", coins, active).ravel()
+        mixed.take(exit_idx, out=exits[step])
+        new = np.zeros(n * n * 4, dtype=complex)
+        new[dst] = mixed[src]
+        new = new.reshape(n, n, 4)
 
         if movers:
             advanced: Dict[Tuple[Site, int], complex] = {}
@@ -365,20 +388,54 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
 
         active = new
 
-    out: Dict[Site, np.ndarray] = {}
-    nz = np.nonzero(np.any(active != 0, axis=2))
-    for ix, iy in zip(*nz):
-        out[(int(ix) - r, int(iy) - r)] = active[ix, iy].copy()
-    for (site, j), a in movers.items():
-        vec = out.setdefault(site, np.zeros(4, dtype=complex))
-        vec[j] += a
-    for x, y, j, a, t_emit in banked:
-        dx, dy = STEPS[j]
-        flight = t - t_emit
-        target = (x + dx * flight, y + dy * flight)
-        vec = out.setdefault(target, np.zeros(4, dtype=complex))
-        vec[j] += a
-    return WalkState._wrap(out)
+    # Every amplitude outside the window, in the order it is added: what is
+    # still moving in, what left at t = 0, then the window's outflow by step.
+    # Each flies freely for the rest of the time.
+    step_row, col = np.nonzero(exits)
+    amps = exits[step_row, col]
+    del exits
+    lead = [(x, y, j, a) for ((x, y), j), a in movers.items()]
+    lead += [(x + STEPS[j][0] * t, y + STEPS[j][1] * t, j, a) for x, y, j, a in banked]
+    lead_x, lead_y, lead_j, lead_a = np.array(lead, dtype=object).reshape(-1, 4).T
+    try:
+        lead_x, lead_y = lead_x.astype(np.int64), lead_y.astype(np.int64)
+    except OverflowError as exc:
+        raise ValueError("evolve needs site coordinates that fit in 64-bit integers") from exc
+    leave = exit_idx[col]
+    flight = t - 1 - step_row
+    chir = np.concatenate([lead_j.astype(np.intp), wj[leave]])
+    amps = np.concatenate([lead_a.astype(complex), amps])
+    ax, ay = np.nonzero(np.any(active != 0, axis=2))
+    site_x = np.concatenate([ax - r, lead_x, to_x[leave] - r + steps[wj[leave], 0] * flight])
+    site_y = np.concatenate([ay - r, lead_y, to_y[leave] - r + steps[wj[leave], 1] * flight])
+
+    first, slot = _first_appearances(site_x, site_y)
+    amp = np.zeros((first.size, 4), dtype=complex)
+    amp[: ax.size] = active[ax, ay]  # the window's sites come first, once each
+    np.add.at(amp, (slot[ax.size :], chir), amps)
+    keep = np.any(amp != 0, axis=1)
+    sites = zip(site_x[first[keep]].tolist(), site_y[first[keep]].tolist())
+    return WalkState._adopt(dict(zip(sites, itertools.compress(amp, keep))))
+
+
+def _first_appearances(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the distinct sites (x[i], y[i]) in the order they first appear.
+
+    Returns the index of each site's first appearance, in that order, and
+    each entry's site number.  lexsort is stable, so each run of one site in
+    it starts where the site first appears.
+    """
+    by_site = np.lexsort((y, x))
+    x, y = x[by_site], y[by_site]
+    starts = np.ones(by_site.size, dtype=bool)
+    starts[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    first = by_site[starts]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    slot = np.empty_like(by_site)
+    slot[by_site] = rank[np.cumsum(starts) - 1]
+    return first[order], slot
 
 
 def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -418,6 +475,17 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _cell_value(cell: object) -> complex:
+    """The number a matrix cell [re, im] of two JSON numbers stands for."""
+    if not (
+        isinstance(cell, (list, tuple))
+        and len(cell) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+    ):
+        raise ValueError(f"matrix cell {cell!r} is not a pair of numbers [re, im]")
+    return complex(cell[0], cell[1])
+
+
 def coin_field_from_json(doc: dict) -> CoinField:
     """Build a coin field from the interchange document.
 
@@ -440,12 +508,9 @@ def coin_field_from_json(doc: dict) -> CoinField:
         try:
             x = entry["x"]
             rows = entry["m"]
-            mat = np.array(
-                [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-                dtype=complex,
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed coin entry: {entry!r}") from exc
+            mat = np.array([[_cell_value(cell) for cell in row] for row in rows], dtype=complex)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed coin entry {entry!r}: {exc}") from exc
         if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_integer, x))):
             raise ValueError(f"coin entry site must be a pair of integers, got {x!r}")
         site = (x[0], x[1])

@@ -338,6 +338,18 @@ class TestEvolveCommand:
         assert run_cli(["evolve", "--coin-json", str(doc_path)]) == 4
         capsys.readouterr()
 
+    def test_coin_json_with_a_malformed_cell_exits_4(self, tmp_path, capsys):
+        doc = coin_field_to_json(CoinField(1, {(0, 0): np.eye(4)}))
+        doc["coins"][0]["m"][0][0] = [1.0, 0.0, 7.0]
+        doc_path = tmp_path / "coin.json"
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["evolve", "--t", "2", "--coin-json", str(doc_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "[1.0, 0.0, 7.0] is not a pair of numbers" in err["reason"]
+
     @pytest.mark.parametrize("command", [["evolve", "--t", "2"], ["resonances"]])
     def test_coin_json_with_a_nan_entry_exits_4(self, tmp_path, capsys, command):
         doc = coin_field_to_json(CoinField(1, {(0, 0): np.eye(4)}))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwres.lattice import (
+    CHIRALITIES,
     DOWN,
     LEFT,
     RIGHT,
@@ -13,13 +14,17 @@ from qwres.lattice import (
     WalkOperator,
     WalkState,
     apply_walk,
+    box_edges,
     coin_field_from_json,
     coin_field_to_json,
+    compress_walk,
     evolve,
     random_coin_field,
     random_unitary_coin,
+    ray_meets_box,
     unitarity_residual,
 )
+from qwres.barrier import BarrierSpec, build_nonpenetrable
 
 
 def basis_column_coin(columns):
@@ -231,3 +236,100 @@ def test_evolve_banks_amplitude_entering_from_outside():
     for _ in range(t):
         stepped = apply_walk(op, stepped)
     assert evolve(op, u, t).allclose(stepped, tol=1e-10)
+
+
+# A start outside the window: (chirality, offset across the ray, distance
+# beyond the window, heading toward the box or away from it).
+OUTSIDE_START = st.tuples(st.integers(0, 3), st.integers(-4, 4), st.integers(1, 25), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m0=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.2, 0.9),
+    t=st.integers(0, 80),
+    inside=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3)),
+                    max_size=3),
+    outside=st.lists(OUTSIDE_START, max_size=4),
+)
+def test_evolve_matches_apply_walk_with_amplitude_from_outside(m0, seed, density, t, inside,
+                                                                outside):
+    op = WalkOperator(random_coin_field(m0, seed=seed, density=density))
+    r = m0 + 1
+    u = WalkState({})
+    for x, y, j in inside:
+        u = u.plus(WalkState.delta((x, y), j, value=0.6 - 0.8j))
+    for j, across, beyond, toward in outside:
+        (dx, dy), sign = STEPS[j], -1 if toward else 1
+        site = (sign * dx * (r + beyond) + dy * across, sign * dy * (r + beyond) + dx * across)
+        assert ray_meets_box(site, j, m0) == (toward and abs(across) <= m0)
+        u = u.plus(WalkState.delta(site, j, value=0.3 + 0.4j))
+    stepped = u
+    for _ in range(t):
+        stepped = apply_walk(op, stepped)
+    fast = evolve(op, u, t)
+    assert fast.support() == stepped.support()
+    assert fast.allclose(stepped, tol=1e-12)
+    assert all(np.any(vec != 0) for _, vec in fast.items())
+
+
+@pytest.mark.parametrize("t", [1, 7, 60])
+def test_evolve_keeps_an_empty_state_empty(t):
+    assert len(evolve(WalkOperator(random_coin_field(2, seed=4, density=0.5)), WalkState({}), t)) == 0
+
+
+def test_evolve_rejects_a_site_beyond_64_bits():
+    op = WalkOperator(random_coin_field(1, seed=2))
+    assert evolve(op, WalkState.delta((2**62, 0), LEFT), 3).support() == {(2**62 - 3, 0)}
+    with pytest.raises(ValueError, match="64-bit"):
+        evolve(op, WalkState.delta((2**64, 0), LEFT), 3)
+
+
+def _compressed_by_definition(op, pairs):
+    """Column c: one walk step on the delta on pairs[c], read off on the pairs."""
+    index = {pair: i for i, pair in enumerate(pairs)}
+    matrix = np.zeros((len(pairs), len(pairs)), dtype=complex)
+    leak = 0.0
+    for col, (site, j) in enumerate(pairs):
+        for target, amp in apply_walk(op, WalkState.delta(site, j)).items():
+            for k in CHIRALITIES:
+                row = index.get((target, k))
+                if row is None:
+                    leak = max(leak, abs(amp[k]))
+                else:
+                    matrix[row, col] = amp[k]
+    return matrix, leak
+
+
+@pytest.mark.parametrize("m0, seed, density, probes", [
+    (1, 0, 1.0, []),
+    (1, 5, 0.6, [(3, -2)]),
+    (2, 1, 0.5, [(-4, 0), (1, 3)]),
+    (2, 8, 0.8, []),
+])
+def test_compress_walk_matches_its_definition_on_random_fields(m0, seed, density, probes):
+    coin = random_coin_field(m0, seed=seed, density=density)
+    pairs = box_edges(list(coin.override_sites()) + probes)
+    matrix, leak = compress_walk(coin, pairs)
+    reference, reference_leak = _compressed_by_definition(WalkOperator(coin), pairs)
+    np.testing.assert_array_equal(matrix, reference)
+    assert leak == reference_leak > 0
+
+
+@pytest.mark.parametrize("m0", [1, 2])
+def test_compress_walk_matches_its_definition_on_the_sealed_barrier(m0):
+    walk = build_nonpenetrable(BarrierSpec(m0))
+    matrix, leak = compress_walk(walk.operator, walk.pairs)
+    reference, reference_leak = _compressed_by_definition(walk.operator, walk.pairs)
+    np.testing.assert_array_equal(matrix, reference)
+    assert leak == reference_leak == 0
+
+
+@pytest.mark.parametrize("cell", [[1.0, 0.0, 7.0], [True, 0], [1.0]],
+                         ids=["three-numbers", "bool", "one-number"])
+def test_coin_json_rejects_a_malformed_cell(cell):
+    cells = [row[:] for row in IDENTITY_CELLS]
+    cells[0][0] = cell
+    with pytest.raises(ValueError, match=r"coin entry .*'x': \[0, 0\].*not a pair of numbers"):
+        coin_field_from_json({"M0": 1, "coins": [{"x": [0, 0], "m": cells}]})
