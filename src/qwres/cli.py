@@ -30,6 +30,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from functools import partial
@@ -230,7 +231,8 @@ _OPTIONS: Dict[str, _Option] = {
                            lambda cmd, key, v: v if v is None else _number(1e-6, 64.0, cmd, key, v),
                            float, unset=f"the standard strip, depth {-STRIP_IM_MIN:g}"),
     "eps_grid": _Option("perturbation strengths, required", _eps_grid, _grid_flag, "E1,E2,..."),
-    "site": _Option("start site", _site, _site_flag, "I,J"),
+    "site": _Option("start site; negative coordinates as -9,1 or --site=-9,1", _site, _site_flag,
+                    "I,J"),
     "chirality": _Option("start chirality", _chirality, choices=CHIRALITY_NAMES),
     "emit": _Option("output format", _listed),
     "threads": _Option("worker threads", _threads, int, unset="env QWRES_THREADS, else 1"),
@@ -512,6 +514,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = frozenset("--" + key.replace("_", "-") for key in _OPTIONS)
+
+
+def _attach_dash_values(argv: Sequence[str]) -> List[str]:
+    """argv with each ``--flag -9,1`` written ``--flag=-9,1``.
+
+    argparse takes a value that starts with '-' for an option unless it is
+    a plain negative number such as -9 or -0.5, so ``--site -9,1`` and
+    ``--mu0 -1e-3`` would fail with 'expected one argument'.  No flag starts
+    with a minus sign and a digit or a point.  As argparse does, a flag may
+    be abbreviated to a prefix of more than the two dashes.
+    """
+    out: List[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (len(flag) > 2 and any(name.startswith(flag) for name in _VALUE_FLAGS)
+                and re.match(r"-[0-9.]", arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _validate(cfg: Dict[str, object]) -> None:
     cmd = str(cfg["command"])
     for key, option in _OPTIONS.items():
@@ -590,7 +615,7 @@ def _write_output(path: str, text: str) -> None:
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve_config(ns)
     except InputError as exc:

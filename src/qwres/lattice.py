@@ -34,6 +34,9 @@ UNITARITY_TOL = 1e-12
 _IDENTITY4 = np.eye(4, dtype=complex)
 _IDENTITY4.setflags(write=False)
 
+# Sites stacked at a time by WalkState.norm.
+_NORM_CHUNK = 1 << 10
+
 
 def unitarity_residual(m: np.ndarray) -> float:
     """Max-abs entry of M*M - I; NaN when M has a non-finite entry."""
@@ -103,12 +106,18 @@ class WalkState:
         return frozenset(self._amp)
 
     def norm(self) -> float:
-        if not self._amp:
-            return 0.0
-        total = 0.0
-        for vec in self._amp.values():
-            total += float(np.sum(np.abs(vec) ** 2))
-        return float(np.sqrt(total))
+        """The l2 norm: each site's |v|^2 summed, then the sites summed in order.
+
+        The sites are stacked _NORM_CHUNK at a time, and cumsum adds them one
+        after another onto the running total, where sum would pair them, so
+        the result is the one of a loop over the sites, to the last bit.
+        """
+        vecs = iter(self._amp.values())
+        total = np.zeros(1)
+        while chunk := list(itertools.islice(vecs, _NORM_CHUNK)):
+            per_site = (np.abs(np.array(chunk)) ** 2).sum(axis=1)
+            total = np.cumsum(np.concatenate([total, per_site]))[-1:]
+        return float(np.sqrt(total[0]))
 
     def inner(self, other: "WalkState") -> complex:
         """l2 pairing (self, other) = sum_x self(x) . conj(other(x))."""
@@ -300,6 +309,10 @@ def ray_meets_box(site: Site, chirality: int, box_radius: int) -> bool:
     return abs(x) <= box_radius and y * dy <= box_radius
 
 
+# Steps of window outflow gathered before their nonzero exits are kept.
+_BANK_ROWS = 1024
+
+
 def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     """Apply ``t`` walk steps exactly.
 
@@ -310,15 +323,16 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     per step independent of t and makes horizons of 10^4 steps cheap while
     remaining exact.
 
-    The window's outflow is banked in a ``(t, 4n)`` array, n = 2 M0 + 3 the
-    window's side, so it holds t * 4(2 M0 + 3) complex numbers.  Row s - 1
-    holds the exit amplitudes of step s (chirality j at the window's last
-    site along j), ordered left, right, down, up and along each side.  The
-    result lists the window's sites, then the sites of amplitude still moving
-    in, then the free-flight targets of what was banked at t = 0 and of the
-    outflow by step.  A site keeps the place where it first occurs, and
-    amplitudes that meet at a site are added in that order.  Site
-    coordinates must fit in 64-bit integers.
+    The window's outflow is banked by step: the exit amplitudes of step s
+    (chirality j at the window's last site along j, ordered left, right,
+    down, up and along each side, 4n of them for the window's side
+    n = 2 M0 + 3) go to a block of _BANK_ROWS steps, and each full block
+    keeps only its nonzero entries, so the bank holds what actually left
+    the window.  The result lists the window's sites, then the sites of
+    amplitude still moving in, then the free-flight targets of what was
+    banked at t = 0 and of the outflow by step.  A site keeps the place
+    where it first occurs, and amplitudes that meet at a site are added in
+    that order.  Site coordinates must fit in 64-bit integers.
     """
     if int(t) != t or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t}")
@@ -367,10 +381,20 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     exit_idx = np.flatnonzero(~inside)
     exit_idx = exit_idx[np.argsort(wj[exit_idx], kind="stable")]
 
-    exits = np.empty((t, exit_idx.size), dtype=complex)
+    # Each block of steps' exits is banked as its nonzero entries, in the
+    # row-major order of one (t, 4n) array.
+    width = exit_idx.size
+    block = np.empty((min(t, _BANK_ROWS), width), dtype=complex)
+    bank_flat, bank_amps = [], []
     for step in range(t):
         mixed = np.einsum("xyjk,xyk->xyj", coins, active).ravel()
-        mixed.take(exit_idx, out=exits[step])
+        row = step % _BANK_ROWS
+        mixed.take(exit_idx, out=block[row])
+        if row == _BANK_ROWS - 1 or step == t - 1:
+            filled = block[: row + 1].ravel()
+            flat = np.flatnonzero(filled)
+            bank_flat.append(flat + (step - row) * width)
+            bank_amps.append(filled[flat])
         new = np.zeros(n * n * 4, dtype=complex)
         new[dst] = mixed[src]
         new = new.reshape(n, n, 4)
@@ -391,9 +415,10 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     # Every amplitude outside the window, in the order it is added: what is
     # still moving in, what left at t = 0, then the window's outflow by step.
     # Each flies freely for the rest of the time.
-    step_row, col = np.nonzero(exits)
-    amps = exits[step_row, col]
-    del exits
+    amps = np.concatenate(bank_amps)
+    del block, filled, bank_amps  # filled is a view of block
+    step_row, col = np.divmod(np.concatenate(bank_flat), width)
+    del bank_flat
     lead = [(x, y, j, a) for ((x, y), j), a in movers.items()]
     lead += [(x + STEPS[j][0] * t, y + STEPS[j][1] * t, j, a) for x, y, j, a in banked]
     lead_x, lead_y, lead_j, lead_a = np.array(lead, dtype=object).reshape(-1, 4).T

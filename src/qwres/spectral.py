@@ -41,6 +41,18 @@ So a deflated winding seeds only 2 Simpson panels per edge where a plain
 one seeds 8: the remainder is smooth on the scale of a small loop, and
 adaptive refinement still finds any unmatched pole.  Long edges get more
 panels from the highest frequency of M either way.
+
+A rectangle exactly one period wide is first counted by the periodic
+trapezoid rule.  D is 2 pi periodic, so the vertical edges cancel and only
+the two horizontal lines remain.  Since D = prod_k (1 - e^{i (kappa - c_k)})
+over the candidates c_k, each exact candidate leaves (log D)' minus its
+periodic pole 1/2 cot((kappa - c_k)/2) equal to the constant i/2.  So the
+remainder is smooth and periodic along both lines, where the trapezoid rule
+converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014), and
+32 points per line suffice.  The count is its winding plus the candidates
+strictly between the lines.  The rule decides only when no candidate lies
+near either line and the 16- and 32-point sums agree on an integer;
+otherwise the adaptive rule counts as before.
 A root's multiplicity is certified first on a small circle, where the
 trapezoid rule converges geometrically, and by a small rectangle only if
 the 16- and 32-point sums disagree.
@@ -428,6 +440,57 @@ def _winding(fam: DeterminantFamily, rect: KappaRect, poles: np.ndarray = _NO_PO
     return _integer_turns(_contour_dlog_integral(fam, rect, poles), rect) + int(np.count_nonzero(inside))
 
 
+# Points per line of the periodic rule; the coarse sum takes every other one.
+_PERIODIC_POINTS = 32
+# The periodic rule refuses a band with a candidate closer than this to
+# either line.  A trapezoid on a line cannot tell which side of it a pole
+# lies on: take a candidate at distance rho on one side and its zero just
+# across.  The zero's pole and the subtracted one then leave the N-point
+# sum (1 - s^2) / (2 (1 - 2 s cos(theta) + s^2)) >= tanh(N rho / 2) / 2
+# turns off the wrong integer, with s = e^{-N rho} and theta set by where
+# the pair sits between points.  Both sums stay farther than
+# WINDING_INTEGER_TOL from it once tanh(8 rho) > 2 WINDING_INTEGER_TOL,
+# that is rho > 2.5e-4 (3e-4 measured, on 400 offsets).  1e-2 keeps a factor
+# of 40.  On 200 seeded random radius-1 fields the nearest candidate stayed
+# 0.05 below the line 1e-6 above the axis, while a strip whose top line
+# passes 1e-6 above eigenvalues always falls back.
+_PERIODIC_GAP = 1e-2
+
+
+def _half_cot(u: np.ndarray) -> np.ndarray:
+    """1/2 cot(u/2) = (i/2)(q + 1)/(q - 1) with q = e^{iu}, from the side where |q| <= 1."""
+    side = np.where(u.imag >= 0, 1.0, -1.0)
+    q = np.exp(1j * side * u)
+    return side * 0.5j * (q + 1.0) / (q - 1.0)
+
+
+def _periodic_winding(fam: DeterminantFamily, rect: KappaRect) -> Optional[int]:
+    """Zeros of D in a band one period wide by the periodic rule, or None if it cannot tell.
+
+    Both lines are sampled at _PERIODIC_POINTS equispaced points in one
+    batch, and every candidate's periodic pole is subtracted once.
+    """
+    cands = fam.candidates
+    y = cands.imag
+    if np.any((np.abs(y - rect.im_min) < _PERIODIC_GAP) | (np.abs(y - rect.im_max) < _PERIODIC_GAP)):
+        return None
+    x = rect.re_min + TWO_PI * np.arange(_PERIODIC_POINTS) / _PERIODIC_POINTS
+    kappas = np.concatenate([x + 1j * rect.im_min, x + 1j * rect.im_max])
+    with np.errstate(invalid="ignore"):
+        values = fam.dlogs(kappas) - _half_cot(kappas[:, None] - cands).sum(axis=1)
+        # Counterclockwise: the bottom line left to right, the top one back.
+        bottom, top = np.split(values, 2)
+        coarse = (bottom[::2] - top[::2]).sum() * (2 * TWO_PI / _PERIODIC_POINTS)
+        fine = (bottom - top).sum() * (TWO_PI / _PERIODIC_POINTS)
+    if not abs(coarse - fine) <= TWO_PI * WINDING_INTEGER_TOL:
+        return None
+    try:
+        turns = _integer_turns(fine, rect)
+    except _EdgeTrouble:
+        return None
+    return turns + int(np.count_nonzero((y > rect.im_min) & (y < rect.im_max)))
+
+
 def winding_number(coin: CoinField, region: KappaRect) -> int:
     """Number of determinant zeros inside the rectangle, by argument principle.
 
@@ -440,10 +503,23 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     finite on the boundary, or the quadrature runs out of its depth or
     level budget, the rectangle is expanded by a tiny amount and retried;
     persistent trouble raises NumericalFailure.
+
+    A rectangle exactly one period wide (width == TWO_PI, as for the default
+    strip) is first counted by the periodic rule: the trapezoid sums of
+    (log D)' minus every candidate's pole 1/2 cot((kappa - c_k)/2) on its
+    two lines, 32 points each, plus the candidates strictly between them.
+    It decides only when no candidate lies within _PERIODIC_GAP of a line,
+    the 16- and 32-point sums agree to WINDING_INTEGER_TOL turns and the
+    32-point sum passes the integer checks; otherwise the adaptive rule
+    above counts.
     """
     fam = coin if isinstance(coin, DeterminantFamily) else DeterminantFamily(coin)
     if fam.trivial:
         return 0
+    if region.width == TWO_PI:
+        count = _periodic_winding(fam, region)
+        if count is not None:
+            return count
     rect = region
     delta = max(1e-8, 1e-7 * max(region.width, region.height))
     for attempt in range(_BOUNDARY_RETRIES + 1):

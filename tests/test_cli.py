@@ -232,6 +232,39 @@ def test_malformed_flag_value_exits_2(capsys, argv):
     assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, rest", [("evolve", ["--t", "3"]),
+                                           ("trace", ["--preset", "corner"])])
+def test_negative_site_may_follow_its_flag(capsys, command, rest):
+    spaced = run_json(capsys, [command, "--site", "-9,1"] + rest)
+    joined = run_json(capsys, [command, "--site=-9,1"] + rest)
+    abbreviated = run_json(capsys, [command, "--sit", "-9,1"] + rest)
+    assert spaced == joined == abbreviated
+    assert spaced["config"]["site"] == [-9, 1]
+
+
+def test_negative_number_values_may_follow_their_flags(capsys):
+    # -1e-3 is no plain negative number to argparse.  Another eigenphase lies
+    # in the loop around it, so both runs end in the same failure envelope.
+    outs = []
+    for flag in (["--mu0", "-1e-3"], ["--mu0=-1e-3"]):
+        assert run_cli(["barrier-norms", "--eps-grid", "0.16"] + flag) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["config"]["mu0"] == -1e-3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--site", "--t", "3"], "argument --site: expected one argument"),
+    (["evolve", "--site", "-9,x"], "argument --site: expected integer pair, got '-9,x'"),
+    (["evolve", "--t", "3", "-9,1"], "unrecognized arguments: -9,1"),
+])
+def test_dash_values_keep_their_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("preset", MODEL_PRESETS)
 def test_every_model_preset_evolves_through_the_cli(capsys, preset):
     doc = run_json(capsys, ["evolve", "--preset", preset, "--t", "1"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwres import lattice
 from qwres.lattice import (
     CHIRALITIES,
     DOWN,
@@ -284,6 +285,43 @@ def test_evolve_rejects_a_site_beyond_64_bits():
     assert evolve(op, WalkState.delta((2**62, 0), LEFT), 3).support() == {(2**62 - 3, 0)}
     with pytest.raises(ValueError, match="64-bit"):
         evolve(op, WalkState.delta((2**64, 0), LEFT), 3)
+
+
+def _state_bytes(u):
+    return [(site, vec.tobytes()) for site, vec in u.items()]
+
+
+@pytest.mark.parametrize("t", [1, 5, 6, 7, 40])
+def test_evolve_result_does_not_depend_on_the_bank_block(monkeypatch, t):
+    # Blocks of 6 steps: t = 6 fills one exactly, and 40 ends mid-block.
+    op = WalkOperator(random_coin_field(1, seed=11))
+    u = WalkState.delta((0, 0), UP).plus(WalkState.delta((-9, 1), RIGHT, 0.5j))
+    whole = evolve(op, u, t)
+    monkeypatch.setattr(lattice, "_BANK_ROWS", 6)
+    assert _state_bytes(evolve(op, u, t)) == _state_bytes(whole)
+
+
+def _norm_by_site(u):
+    total = 0.0
+    for _, vec in u.items():
+        total += float(np.sum(np.abs(vec) ** 2))
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_norm_equals_the_loop_over_sites_to_the_last_bit(monkeypatch, seed):
+    if seed % 2:
+        monkeypatch.setattr(lattice, "_NORM_CHUNK", 7)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    scale = 10.0 ** rng.uniform(-30, 30, size=(n, 1))
+    u = WalkState({(int(i), int(rng.integers(-5, 5))): scale[i] * (rng.standard_normal(4)
+                   + 1j * rng.standard_normal(4)) for i in range(n)})
+    assert u.norm() == _norm_by_site(u)
+    op = WalkOperator(random_coin_field(1, seed=seed))
+    evolved = evolve(op, u, 300)
+    assert evolved.norm() == _norm_by_site(evolved)
+    assert WalkState().norm() == 0.0
 
 
 def _compressed_by_definition(op, pairs):

@@ -583,6 +583,109 @@ def test_bad_candidates_never_change_a_count(monkeypatch):
     assert len(refused) <= STRESS_TRIALS // 16, refused
 
 
+ABOVE_AXIS = KappaRect(0.0, 2 * np.pi, 1e-6, 1.0)
+PERIODIC_FIELDS = 6
+PERIODIC_TRIALS = 400
+
+
+def layer_bands(kappas):
+    """Full-period bands whose lines run through gaps of more than twice the guard between candidates."""
+    ys = np.sort(kappas.imag[kappas.imag > -2.0])
+    gaps = np.flatnonzero(np.diff(ys) > 2 * spectral._PERIODIC_GAP)
+    lines = 0.5 * (ys[gaps] + ys[gaps + 1])
+    shift = spectral.STRIP_SHIFT
+    return [KappaRect(shift, shift + 2 * np.pi, lo, hi)
+            for i, lo in enumerate(lines) for hi in lines[i + 1:]]
+
+
+def periodic_fault(rng, kappas, rect):
+    """One seeded fault, aimed at the lines: a drop, a move or a spurious candidate."""
+    gap = np.minimum(np.abs(kappas.imag - rect.im_min), np.abs(kappas.imag - rect.im_max))
+    # Half the picks go to the four candidates nearest a line.
+    nearest = np.argsort(gap, kind="stable")[:4]
+    pick = int(nearest[rng.integers(len(nearest))] if rng.random() < 0.5
+               else rng.integers(len(kappas)))
+    fault = ("drop", "move", "spurious")[rng.integers(3)]
+    if fault == "drop":
+        return f"drop {kappas[pick]:.6g}", np.delete(kappas, pick)
+    if fault == "move":
+        step = 10.0 ** rng.uniform(-9, -1) * np.exp(2j * np.pi * rng.uniform())
+        moved = kappas.copy()
+        moved[pick] += step
+        return f"move {kappas[pick]:.6g} by {step:.2e}", moved
+    line = (rect.im_min, rect.im_max)[rng.integers(2)]
+    z = complex(rng.uniform(-np.pi, np.pi), line + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -1))
+    return f"spurious {z:.6g}", np.append(kappas, z)
+
+
+def test_bad_candidates_never_change_a_periodic_count(monkeypatch):
+    # The periodic rule cannot tell on which side of a line a pole lies, so
+    # a candidate moved across a line, dropped or added next to one must
+    # make it decline or leave its count right.  Bands: the one above the
+    # axis, and bands between candidate layers of full strips.  The adaptive
+    # rule, stressed above, is made to refuse: each count that comes back
+    # is the periodic rule's.
+    full = spectral._zero_candidates
+    current = {}
+    monkeypatch.setattr(spectral, "_zero_candidates", lambda fam: current["kappas"])
+
+    def refuse(fam, rect, poles=None):
+        raise spectral._EdgeTrouble("the adaptive rule is left out")
+
+    monkeypatch.setattr(spectral, "_winding", refuse)
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for seed in rng.integers(2**31, size=PERIODIC_FIELDS):
+        coin = random_coin_field(1, int(seed))
+        kappas = full(DeterminantFamily(coin))
+        for rect in [ABOVE_AXIS] + layer_bands(kappas):
+            truth = spectral._copies_in(kappas, rect).size
+            current["kappas"] = kappas
+            assert winding_number(DeterminantFamily(coin), rect) == truth, rect
+            cases.append((coin, kappas, rect, truth))
+    wrong, decided = [], 0
+    for _ in range(PERIODIC_TRIALS):
+        coin, kappas, rect, truth = cases[rng.integers(len(cases))]
+        fault, current["kappas"] = periodic_fault(rng, kappas, rect)
+        try:
+            count = winding_number(DeterminantFamily(coin), rect)
+        except NumericalFailure:
+            continue
+        decided += 1
+        if count != truth:
+            wrong.append(f"{rect}, {fault}: {count} != {truth}")
+    assert not wrong, wrong
+    # Small moves and faults far from the lines leave the rule deciding.
+    assert decided >= PERIODIC_TRIALS // 5, decided
+
+
+def dlogs_batches(monkeypatch):
+    """The sizes of the DeterminantFamily.dlogs batches evaluated from now on."""
+    batch = DeterminantFamily.dlogs
+    sizes = []
+
+    def spy(self, kappas):
+        sizes.append(len(kappas))
+        return batch(self, kappas)
+
+    monkeypatch.setattr(DeterminantFamily, "dlogs", spy)
+    return sizes
+
+
+def test_above_axis_winding_is_one_periodic_batch(monkeypatch):
+    sizes = dlogs_batches(monkeypatch)
+    assert winding_number(random_coin_field(1, seed=2), ABOVE_AXIS) == 0
+    assert sizes == [64]
+
+
+def test_strip_next_to_eigenvalues_falls_back_to_the_adaptive_rule(monkeypatch):
+    # The strip's top line passes 1e-6 above the axis eigenvalues, inside
+    # the guard, so locate_roots winds it adaptively, on the same points.
+    sizes = dlogs_batches(monkeypatch)
+    assert len(locate_roots(make_corner_family(2, 2, 0.2, "one-corner").coin)) == 16
+    assert sum(sizes) == 1056
+
+
 def companion_kappas(fam):
     """Every zero of D from a block companion of the coefficients of M.
 
