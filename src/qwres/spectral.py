@@ -4,7 +4,10 @@ Outside a box holding the coin overrides the walk is free, so amplitude
 that leaves the box never comes back.  On a box that also holds a finite
 state f and the probes, R(kappa) f = (U - e^{-i kappa})^{-1} f solves one
 linear system with the walk compressed to the box's edges, rational in
-e^{-i kappa} and so continued to all kappa.  Only the determinant comes
+e^{-i kappa} and so continued to all kappa.  A single kappa is one dense
+solve; the many kappas of a Riesz projection's loop share one complex Schur
+form of the compressed walk, and each costs one triangular back
+substitution.  Only the determinant comes
 from the override block, where the one-sided free kernels give a matrix of
 size 4 * (number of overridden sites).  The characteristic determinant
 
@@ -64,6 +67,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .lattice import (CHIRALITIES, STEP_AXIS, STEP_SIGN, STEPS, CoinField, WalkState, box_edges,
                       compress_walk)
@@ -84,7 +88,8 @@ WINDING_INTEGER_TOL = 1e-3
 
 # Bounds on the batched contour quadrature: the new points of one level (a
 # zero next to the contour would otherwise let levels grow until the depth
-# budget runs out) and the matrix entries stacked into one solve.
+# budget runs out) and the array entries one batched step holds: a stack of
+# matrices to solve, or the residuals of a block of resolvent kappas.
 _LEVEL_CAP = 1 << 14
 _CHUNK_ENTRIES = 1 << 16
 # Expanded rectangles winding_number tries after the requested one.
@@ -763,27 +768,54 @@ class ResolventPairing:
     R(kappa) f vanishes on the entering edges and on the edges of the box
     solves (A - e^{-i kappa}) u = f exactly.  Both sides are rational in
     e^{-i kappa}, so this is the continued resolvent for every kappa.
+
+    A is reduced once to its complex Schur form A = Z T Z*, so each kappa
+    costs one triangular back substitution (T - w) x = Z* f with
+    w = e^{-i kappa}, and <u, g> = (Z^T conj g) . x (Laub's frequency-response
+    method, IEEE TAC 26, 1981).
     """
 
     def __init__(self, coin: CoinField, f: WalkState, g: WalkState):
-        self.pairs, self.matrix, self.source = _box_system(coin, f, g.sites())
-        self.probe = np.conj([g.component(x, j) for x, j in self.pairs])
+        pairs, matrix, source = _box_system(coin, f, g.sites())
+        probe = np.conj([g.component(x, j) for x, j in pairs])
+        self.triangle, z = scipy.linalg.schur(matrix, output="complex")
+        self.source = z.conj().T @ source
+        self.weights = z.T @ probe
 
     def values(self, kappas: Iterable[complex]) -> np.ndarray:
-        """<R(kappa) f, g> for a batch of kappas, solved in stacks of at most _CHUNK_ENTRIES entries."""
+        """<R(kappa) f, g> for a batch of kappas, in blocks of at most _CHUNK_ENTRIES entries.
+
+        Every step acts on each kappa's column by itself, so a kappa's value
+        does not depend on the batch it comes in, to the last bit.  At a
+        pole the value is inf or nan.
+        """
         kappas = np.asarray(list(kappas), dtype=complex)
         out = np.zeros(len(kappas), dtype=complex)
-        n = len(self.pairs)
-        chunk = max(1, _CHUNK_ENTRIES // max(1, n * n))
-        for lo in range(0, len(kappas), chunk):
-            mats = self.matrix - np.exp(-1j * kappas[lo : lo + chunk])[:, None, None] * np.eye(n)
-            out[lo : lo + chunk] = np.linalg.solve(mats, self.source) @ self.probe
+        t = self.triangle
+        n = len(t)
+        chunk = max(1, _CHUNK_ENTRIES // max(1, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, len(kappas), chunk):
+                w = np.exp(-1j * kappas[lo : lo + chunk])
+                r = np.repeat(self.source[:, None], len(w), axis=1)
+                acc = out[lo : lo + chunk]  # a view: the sums land in out
+                for k in range(n - 1, -1, -1):
+                    x = r[k] / (t[k, k] - w)
+                    r[:k] -= t[:k, k, None] * x
+                    acc += self.weights[k] * x
         return out
 
 
 def resolvent_matrix_element(coin: CoinField, kappa: complex, f: WalkState, g: WalkState) -> complex:
-    """<(U - e^{-i kappa})^{-1} f, g>, continued meromorphically in kappa."""
-    return complex(ResolventPairing(coin, f, g).values([kappa])[0])
+    """<(U - e^{-i kappa})^{-1} f, g>, continued meromorphically in kappa.
+
+    One kappa is one dense solve on the box of ResolventPairing; its Schur
+    form pays off only over many kappas.
+    """
+    pairs, matrix, source = _box_system(coin, f, g.sites())
+    probe = np.conj([g.component(x, j) for x, j in pairs])
+    u = np.linalg.solve(matrix - np.exp(-1j * complex(kappa)) * np.eye(len(pairs)), source)
+    return complex(u @ probe)
 
 
 def resolvent_apply(coin: CoinField, kappa: complex, f: WalkState, radius: int) -> WalkState:
@@ -822,7 +854,9 @@ def projection_element(
     this is the spectral projection of the unitary walk; below it, the
     residue pairing of the continued resolvent.  Trapezoid sums are doubled
     until two refinements agree to 1e-8, each doubling evaluating only the
-    new midpoints.
+    new midpoints, up to _MAX_LOOP_SAMPLES + 1 points per edge.  A sum that
+    is not finite (a point on a pole) raises NumericalFailure at once, as
+    does a loop whose sums have not settled at the last level.
     """
     center = complex(kappa0)
     if isinstance(loop, KappaRect):
@@ -840,6 +874,11 @@ def projection_element(
         total = 0.0j
         for z, v in zip(zs, vals):
             total += np.trapezoid(v, z)
+        if not np.isfinite(total):
+            raise NumericalFailure(
+                f"projection integral over {rect} is not finite at {n + 1} points per "
+                "edge; the loop passes through a pole"
+            )
         return total / TWO_PI
 
     # Each doubling solves only the new midpoints: for n a power of two the
@@ -851,7 +890,7 @@ def projection_element(
     zs = [a + (b - a) * ts for a, b in edges]
     vals = [integrand(z) for z in zs]
     prev = integral()
-    while n <= _MAX_LOOP_SAMPLES:
+    while n < _MAX_LOOP_SAMPLES:
         n *= 2
         ts = np.linspace(0.0, 1.0, n + 1)
         for i, (a, b) in enumerate(edges):

@@ -41,7 +41,8 @@ from qwres.shape import (
     projection_difference,
     rebuild_family,
 )
-from qwres.spectral import KappaRect, NumericalFailure, ResolventPairing, locate_roots
+from qwres.spectral import (KappaRect, NumericalFailure, ResolventPairing, locate_roots,
+                            projection_element)
 from qwres.translation import verify_outgoing
 
 TWO_PI = 2.0 * math.pi
@@ -526,6 +527,18 @@ class TestProjectionDifference:
             fam = make_shape_family(BarrierSpec(1), eps)
             sizes.append(abs(projection_difference(fam, math.pi / 2, f, g)))
         assert sizes[0] > sizes[1] > sizes[2]
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_each_member_projects_a_quarter_of_the_probe(self, eps):
+        # The sealed eigenvalue at pi/2 and the resonance it migrates to both
+        # hold a quarter of delta((0, 0), LEFT) (scipy quad: 0.25 to 6e-17),
+        # a size that does not rest on the trapezoid rule's rounding.
+        fam = make_shape_family(BarrierSpec(1), eps)
+        f = WalkState.delta((0, 0), LEFT)
+        loop = KappaRect.for_scale(math.pi / 2, eps)
+        for coin in (fam.coin, fam.base.coin):
+            value = projection_element(coin, complex(math.pi / 2), loop, f, f)
+            assert abs(value - 0.25) <= 1e-8, (eps, value)
 
     @staticmethod
     def fresh_projection(coin, rect, f, g):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from qwres.spectral import (
     DeterminantFamily,
     KappaRect,
     NumericalFailure,
+    ResolventPairing,
     Root,
     det_value,
     locate_roots,
@@ -888,6 +891,100 @@ def test_empty_loop_has_zero_projection():
     f = WalkState.delta((0, 0), LEFT)
     val = projection_element(coin, 0.7 - 0.01j, 0.05, f, f)
     assert abs(val) < 1e-7
+
+
+def test_projection_gives_up_after_the_last_level(monkeypatch):
+    # Sums that never settle stop at _MAX_LOOP_SAMPLES + 1 points per edge.
+    rng = np.random.default_rng(0)
+    points = []
+
+    def noise(self, kappas):
+        points.append(len(kappas))
+        return rng.standard_normal(len(kappas)) + 1j * rng.standard_normal(len(kappas))
+
+    monkeypatch.setattr(ResolventPairing, "values", noise)
+    coin = CoinField(1, one_corner_coins(0.6))
+    f = WalkState.delta((0, 0), LEFT)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        projection_element(coin, 0.0, 0.3, f, f)
+    assert sum(points) == 4 * (2**15 + 1)
+
+
+def test_projection_refuses_a_non_finite_sum_at_once(monkeypatch):
+    points = []
+
+    def one_nan(self, kappas):
+        points.append(len(kappas))
+        values = np.ones(len(kappas), dtype=complex)
+        if len(points) == 1:
+            values[3] = np.nan
+        return values
+
+    monkeypatch.setattr(ResolventPairing, "values", one_nan)
+    coin = CoinField(1, one_corner_coins(0.6))
+    f = WalkState.delta((0, 0), LEFT)
+    with pytest.raises(NumericalFailure, match="not finite at 17 points per edge"):
+        projection_element(coin, 0.0, 0.3, f, f)
+    assert sum(points) == 68
+
+
+def test_projection_through_an_eigenvalue_raises_without_warnings():
+    # The left edge's midpoint is kappa = 0 to the bit, an eigenvalue of the
+    # closed loop, where the triangular solve divides by an exact zero.
+    coin = CoinField(1, one_corner_coins(0.0))
+    f = loop_eigenfunction(0.0, plus=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="passes through a pole"):
+            projection_element(coin, 0.0, KappaRect(0.0, 1.0, -0.5, 0.5), f, f)
+
+
+# ---------------------------------------------------------------------------
+# Two resolvent engines: Schur back substitution and one dense solve
+# ---------------------------------------------------------------------------
+
+ENGINE_COINS = {
+    "r1": lambda seed: random_coin_field(1, seed),
+    "r2": lambda seed: random_coin_field(2, seed),
+    "shape M0=1": lambda seed: make_shape_family(BarrierSpec(1), 0.1 * seed).coin,
+    "shape M0=2": lambda seed: make_shape_family(BarrierSpec(2), 0.1 * seed).coin,
+    "one-corner 1x1": lambda seed: make_corner_family(1, 1, 0.1 * seed, "one-corner").coin,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", list(ENGINE_COINS))
+def test_schur_values_match_the_dense_solve(name, seed):
+    coin = ENGINE_COINS[name](seed)
+    rng = np.random.default_rng(seed)
+    f = random_state(int(rng.integers(2**31)), span=3)
+    g = random_state(int(rng.integers(2**31)), span=3)
+    kappas = rng.uniform(0.0, 2 * np.pi, 40) + 1j * rng.uniform(-1.5, 1.0, 40)
+    pairing = ResolventPairing(coin, f, g)
+    batch = pairing.values(kappas)
+    for kappa, value in zip(kappas, batch):
+        dense = resolvent_matrix_element(coin, kappa, f, g)
+        assert abs(value - dense) <= 1e-10 * abs(dense), (kappa, value, dense)
+    one_at_a_time = np.array([pairing.values([kappa])[0] for kappa in kappas])
+    assert np.array_equal(one_at_a_time, batch)
+
+
+def test_both_resolvent_engines_match_a_40_digit_solve():
+    mpmath = pytest.importorskip("mpmath")
+    coin = make_shape_family(BarrierSpec(1), 0.2).coin
+    f, g = random_state(3, span=1, n_sites=2), random_state(4, span=1, n_sites=2)
+    # 0.03 from the double resonance at pi/2 - 0.0102i.
+    kappa = np.pi / 2 + 0.03 - 0.01j
+    pairs, matrix, source = spectral._box_system(coin, f, g.sites())
+    probe = np.conj([g.component(x, j) for x, j in pairs])
+    with mpmath.workdps(40):
+        w = mpmath.exp(-1j * mpmath.mpc(kappa))
+        a = mpmath.matrix(matrix.tolist()) - w * mpmath.eye(len(pairs))
+        u = mpmath.lu_solve(a, mpmath.matrix(source.tolist()))
+        exact = complex(mpmath.fsum(u[i] * probe[i] for i in range(len(pairs))))
+    for value in (ResolventPairing(coin, f, g).values([kappa])[0],
+                  resolvent_matrix_element(coin, kappa, f, g)):
+        assert abs(value - exact) <= 1e-11 * abs(exact)
 
 
 # ---------------------------------------------------------------------------
