@@ -33,7 +33,7 @@ import os
 import re
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
@@ -486,7 +486,10 @@ _COMMANDS: Dict[str, _Command] = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: nothing here reads the environment, and
+    # parse_args leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="qwres",
         description="Eigenvalues and resonances of finitely perturbed coined walks on the 2D lattice.",

@@ -59,6 +59,19 @@ otherwise the adaptive rule counts as before.
 A root's multiplicity is certified first on a small circle, where the
 trapezoid rule converges geometrically, and by a small rectangle only if
 the 16- and 32-point sums disagree.
+
+Every winding evaluates (log D)' block by block.  The entries of M are
+fixed coefficients times powers of e^{i kappa}, so which entries vanish
+does not depend on kappa.  Ordered by the strongly connected components of
+that pattern, M is block triangular, and D = prod_b det(I + M_bb) holds
+exactly over its diagonal blocks M_bb; so (log D)' is the sum of
+trace((I + M_bb)^{-1} M_bb') over the blocks.  The blocks are much smaller
+than M: on 50 seeded elastic radius-2 fields (m = 100) the largest holds
+4 to 70 indices, 43 in the median, and a corner model has two of 4 in
+place of 16.  A winding only yields an integer, so it does not see that
+the two forms round differently.  Newton, the residuals and every reported
+determinant stay on the full I + M, so the roots and residuals are those
+of the full matrix, to the bit.
 """
 
 from __future__ import annotations
@@ -217,11 +230,48 @@ class Root:
         return complex(np.exp(-1j * self.kappa))
 
 
+def _diagonal_blocks(coeff: np.ndarray) -> List[np.ndarray]:
+    """The diagonal blocks of coeff's block triangular form, as index arrays stacked by size.
+
+    The blocks are the strongly connected components of the graph with an
+    edge i -> j wherever coeff[i, j] != 0 (Tarjan, SIAM J. Comput. 1, 1972;
+    Duff and Reid, ACM TOMS 4, 1978): ordered by them, the matrix is block
+    triangular.  Reachability comes from squaring the pattern until it
+    stops growing; i and j share a component when each reaches the other.
+    A single index with a zero diagonal entry is a zero block and is left
+    out.  Each array has shape (blocks, size).
+    """
+    if not coeff.any():
+        return []
+    m = len(coeff)
+    reach = (coeff != 0) | np.eye(m, dtype=bool)
+    while True:
+        wider = reach.astype(float)
+        wider = (wider @ wider) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    # Each index's component, named by its smallest member.
+    first = np.argmax(reach & reach.T, axis=1)
+    by_size = {}
+    for root in np.unique(first):
+        members = np.flatnonzero(first == root)
+        if members.size > 1 or coeff[root, root] != 0:
+            by_size.setdefault(members.size, []).append(members)
+    return [np.array(by_size[size]) for size in sorted(by_size)]
+
+
 class DeterminantFamily:
     """Precomputed structure of M(kappa) for one coin field.
 
     Every matrix entry is coeff * e^{i kappa * expo} with integer expo >= 1,
     so a batch of kappas is evaluated with one broadcast exponential.
+
+    dlogs, behind every winding, sums (log D)' over the diagonal blocks of
+    M's block triangular form, which the fixed pattern of coeff determines
+    (see blocks): D is the product of the blocks' determinants, exactly.
+    matrices, logdet, abs_det and det_dlog, behind Newton and the reported
+    residuals, stay on the full I + M.
     """
 
     def __init__(self, coin: CoinField):
@@ -252,6 +302,7 @@ class DeterminantFamily:
         self._power_index = expo.astype(int)
         self._top = int(expo.max()) if expo.size else 0
         self._candidates: Optional[np.ndarray] = None
+        self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
 
     @property
     def candidates(self) -> np.ndarray:
@@ -264,13 +315,18 @@ class DeterminantFamily:
             self._candidates = _zero_candidates(self)
         return self._candidates
 
+    def _powers(self, kappas: np.ndarray) -> np.ndarray:
+        """The N + 1 powers e^{i kappa n}, one row per kappa.
+
+        Gathered by exponent they give the same products as one exponential
+        per entry.
+        """
+        return np.exp(1j * kappas[:, None] * np.arange(self._top + 1, dtype=float))
+
     def matrices(self, kappas: np.ndarray) -> np.ndarray:
         """Stack of M(kappa), shape (len(kappas), m, m)."""
         kappas = np.asarray(kappas, dtype=complex).reshape(-1)
-        # The N + 1 powers e^{i kappa n} gathered by exponent: the same products
-        # as one exponential per entry.
-        powers = np.exp(1j * kappas[:, None] * np.arange(self._top + 1, dtype=float))
-        return self.coeff * powers[:, self._power_index]
+        return self.coeff * self._powers(kappas)[:, self._power_index]
 
     def logdet(self, kappas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(log|D|, arg D) for a batch of kappas, overflow free."""
@@ -285,19 +341,45 @@ class DeterminantFamily:
             ang = np.angle(sign)
         return logabs, ang
 
-    def dlogs(self, kappas: np.ndarray) -> np.ndarray:
-        """d/dkappa log D = trace((I + M)^{-1} M') for a batch of kappas.
+    @property
+    def blocks(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(coeff, power index, i * expo) of the diagonal blocks of M, stacked by size.
 
-        Solved in stacks of at most _CHUNK_ENTRIES matrix entries; a stack in
-        which some I + M is singular comes back as inf throughout.
+        Computed once, as candidates; see _diagonal_blocks.  Each entry
+        holds every block of one size, with shape (blocks, size, size).
+        """
+        if self._blocks is None:
+            stacks = []
+            for idx in _diagonal_blocks(self.coeff):
+                rows, cols = idx[:, :, None], idx[:, None, :]
+                stacks.append((self.coeff[rows, cols], self._power_index[rows, cols],
+                               1j * self.expo[rows, cols]))
+            self._blocks = stacks
+        return self._blocks
+
+    def dlogs(self, kappas: np.ndarray) -> np.ndarray:
+        """d/dkappa log D = sum_b trace((I + M_bb)^{-1} M_bb') for a batch of kappas.
+
+        The sum runs over the diagonal blocks M_bb of M's block triangular
+        form, each block size one batched solve.  Solved in stacks of at
+        most _CHUNK_ENTRIES block entries; a stack in which some I + M_bb is
+        singular comes back as inf throughout.
         """
         kappas = np.asarray(kappas, dtype=complex).reshape(-1)
         out = np.zeros(kappas.shape, dtype=complex)
-        if self.trivial:
+        blocks = self.blocks
+        if not blocks:
             return out
-        chunk = max(1, _CHUNK_ENTRIES // self.m**2)
+        chunk = max(1, _CHUNK_ENTRIES // sum(c.size for c, _, _ in blocks))
         for lo in range(0, len(kappas), chunk):
-            out[lo : lo + chunk] = self._dlog_stack(self.matrices(kappas[lo : lo + chunk]))
+            powers = self._powers(kappas[lo : lo + chunk])
+            try:
+                for coeff, index, dexpo in blocks:
+                    mats = coeff * powers[:, index]
+                    solved = np.linalg.solve(mats + np.eye(coeff.shape[-1]), dexpo * mats)
+                    out[lo : lo + chunk] += np.trace(solved, axis1=-2, axis2=-1).sum(axis=1)
+            except np.linalg.LinAlgError:
+                out[lo : lo + chunk] = np.inf
         return out
 
     def _dlog_stack(self, mats: np.ndarray) -> np.ndarray:
@@ -581,17 +663,26 @@ def _copies_in(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
 # Candidate copies within this distance of a winding's rectangle are
 # deflated; zeros farther away cost the quadrature no refinement.
 _DEFLATION_MARGIN = 0.5
-# Copies closer than this to the boundary are not: a zero and its candidate
-# could then lie on either side of an edge, and the difference of their
-# poles is too narrow for the quadrature to see.  Left in (log D)', such a
-# zero is refined and counted as without deflation.
+# Copies closer than this to the boundary, or than a tenth of the
+# rectangle's shorter side, are not: a zero and its candidate could then lie
+# on either side of an edge, and the difference of their poles is too
+# narrow for the quadrature to see.  Left in (log D)', such a zero is
+# refined and counted as without deflation.  A candidate at distance d from
+# an edge and its zero lie on opposite sides only if they are farther apart
+# (delta) than d; the unmatched pair then moves the edge integral by about
+# delta / d >= 1, far above _EDGE_TOL, over a stretch of edge about d long.
+# On a square of side s below 1e-6 the gap s / 10 keeps d >= s / 10, while
+# the first level's knots are s / 8 apart: the stretch is seen and refined.
+# So the zero at the centre of a tiny square is deflated too, instead of
+# leaving a pole the adaptive rule must resolve close to every edge.
 _DEFLATION_GAP = 1e-7
 
 
 def _deflation_poles(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
     """The candidate copies to subtract from (log D)' around rect."""
     near = _copies_in(kappas, rect.expanded(_DEFLATION_MARGIN))
-    x, y, gap = near.real, near.imag, _DEFLATION_GAP
+    x, y = near.real, near.imag
+    gap = min(_DEFLATION_GAP, 0.1 * min(rect.width, rect.height))
     outside = ((x < rect.re_min - gap) | (x > rect.re_max + gap)
                | (y < rect.im_min - gap) | (y > rect.im_max + gap))
     inside = ((x > rect.re_min + gap) & (x < rect.re_max - gap)
@@ -720,10 +811,15 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
             # |D|/|D'| = 1/|(log D)'| is how far Newton's next step would go.
             dlog = abs(fam.det_dlog(kappa)[1])
             distance = 1.0 / dlog if dlog else float("inf")
+            # Hadamard: |D| <= prod_i ||row_i(I + M)||, so the ratio tells a
+            # residual at rounding level of the scale from a real failure.
+            rows = np.linalg.norm(fam.matrices(np.array([kappa]))[0] + np.eye(fam.m), axis=1)
+            relative = np.exp(fam.logdet(np.array([kappa]))[0][0] - np.sum(np.log(rows)))
             raise NumericalFailure(
                 f"root at {kappa} has residual |D| = {residual:.3e} above {ROOT_RESIDUAL_TOL:.0e}; "
                 f"|D'| = {residual * dlog:.3e}, so the zero is about |D|/|D'| = {distance:.1e} "
-                f"away ({distance / np.spacing(abs(kappa)):.1f} ulps of kappa)"
+                f"away ({distance / np.spacing(abs(kappa)):.1f} ulps of kappa); relative to "
+                f"Hadamard's bound, |D| / prod_i ||row_i(I + M)|| = {relative:.1e}"
             )
         roots.append(Root(kappa, mult, residual, kind))
 

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from qwres import cli
 from qwres.cli import MODEL_PRESETS, run_cli
 from qwres.lattice import CoinField, coin_field_to_json, random_coin_field
 from qwres.shape import elastic_corner_coins, make_corner_family, make_shape_family
@@ -335,6 +336,21 @@ class TestDeterminism:
         assert run_cli(base + ["--threads", "2"]) == 0
         threaded = capsys.readouterr().out
         assert serial == threaded
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # A usage error, an environment read and two runs share one parser.
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            run_cli(["resonances", "--no-such-flag"])
+        monkeypatch.setenv("QWRES_THREADS", "2")
+        argv = ["corner-scan", "--m0", "1", "--n0", "1", "--eps-grid", "0.1", "--emit", "json"]
+        assert run_cli(argv) == 0
+        threaded = capsys.readouterr().out
+        monkeypatch.delenv("QWRES_THREADS")
+        assert run_cli(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["threads"] == 1
+        assert json.loads(threaded)["config"]["threads"] == 2
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         assert run_cli(["barrier-spec"]) == 0

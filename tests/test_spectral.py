@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from qwres.lattice import (
     apply_walk,
     compress_walk,
     random_coin_field,
+    random_unitary_coin,
 )
 from qwres.spectral import (
     DeterminantFamily,
@@ -307,6 +310,90 @@ def test_determinant_equals_the_box_walk_determinant(coin, re, im):
     assert dlog_box == pytest.approx(dlog, rel=1e-8, abs=1e-8)
 
 
+@pytest.mark.parametrize("build", TABLE_FIELDS, ids=[
+    *(f"corner-{p}" for p in CORNER_PRESETS), "closed-1x3", "shape-1", "shape-2",
+    "random-0", "random-1", "random-2", "elastic-r2", "identity"])
+def test_diagonal_blocks_are_the_strong_components(build):
+    # The blocks against scipy's strongly connected components of the same
+    # pattern, less the single indices with a zero diagonal entry; their
+    # determinants multiply to D.
+    fam = DeterminantFamily(build())
+    pattern = fam.coeff != 0
+    count, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(pattern), directed=True, connection="strong")
+    expected = sorted(tuple(np.flatnonzero(labels == c)) for c in range(count)
+                      if np.count_nonzero(labels == c) > 1 or pattern[labels == c][:, labels == c].any())
+    blocks = spectral._diagonal_blocks(fam.coeff)
+    assert sorted(tuple(b) for stack in blocks for b in stack) == expected
+    assert [stack.shape[1] for stack in blocks] == sorted({len(b) for b in expected})
+    kappa = 0.7 - 0.3j
+    full = fam.matrices(np.array([kappa]))[0] + np.eye(fam.m)
+    product = np.prod([np.linalg.det(full[np.ix_(b, b)]) for b in expected])
+    assert product == pytest.approx(np.linalg.det(full), rel=1e-10)
+
+
+def test_corner_blocks_are_its_two_circulations():
+    for preset in CORNER_PRESETS:
+        fam = DeterminantFamily(make_corner_family(2, 2, 0.2, preset).coin)
+        assert fam.m == 16
+        assert [coeff.shape for coeff, _, _ in fam.blocks] == [(2, 4, 4)]
+
+
+def sampled_field(radius, seed, density, kind):
+    """A seeded field of Haar unitaries or permutation coins, each site kept with probability density."""
+    rng = np.random.default_rng(seed)
+    overrides = {}
+    for x1 in range(-radius, radius + 1):
+        for x2 in range(-radius, radius + 1):
+            if rng.random() >= density:
+                continue
+            if kind == "unitary":
+                overrides[(x1, x2)] = random_unitary_coin(int(rng.integers(2**31)))
+                continue
+            coin = np.zeros((4, 4), dtype=complex)
+            phases = rng.uniform(0.0, 2 * np.pi, 4) if kind == "permutation with phases" else 0.0
+            coin[rng.permutation(4), np.arange(4)] = np.exp(1j * phases)
+            overrides[(x1, x2)] = coin
+    return CoinField(radius, overrides)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    radius=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    density=st.floats(0.3, 1.0),
+    kind=st.sampled_from(["unitary", "permutation", "permutation with phases"]),
+    points=st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+)
+def test_block_dlogs_match_the_full_matrix(radius, seed, density, kind, points):
+    # Two engines for (log D)': the diagonal blocks of M behind every
+    # winding, and the full I + M behind Newton, at Im kappa from -0.6 to 1.
+    # Elastic radius-2 fields stop at -0.3: below it I + M reaches condition
+    # numbers of 1e11, and the engines part by up to 6e-9 (600 sampled
+    # fields), as both part from an LU of I - zA.  Where (log D)' vanishes
+    # (a permutation field at a real kappa) both give rounding noise, hence
+    # the absolute floor.
+    floor = -0.3 if radius == 2 and kind != "unitary" else -0.6
+    kappas = np.array([complex(re, floor + (1.0 - floor) * t) for re, t in points])
+    fam = DeterminantFamily(sampled_field(radius, seed, density, kind))
+    full = np.array([fam.det_dlog(kappa)[1] for kappa in kappas])
+    np.testing.assert_allclose(fam.dlogs(kappas), full, rtol=1e-10, atol=1e-10)
+
+
+def test_dlogs_is_inf_throughout_a_singular_chunk(monkeypatch):
+    # kappa = 0 is an exact double zero of the closed loop: the chunk that
+    # holds it comes back as inf, the others as their values.
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.0)))
+    kappas = np.array([0.3, 0.0, 1.0 - 0.2j, 2.0])
+    assert np.all(np.isinf(fam.dlogs(kappas)))
+    monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 1)
+    values = fam.dlogs(kappas)
+    assert np.isinf(values[1])
+    finite = np.delete(np.arange(len(kappas)), 1)
+    full = [fam.det_dlog(kappa)[1] for kappa in kappas[finite]]
+    np.testing.assert_allclose(values[finite], full, rtol=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_elastic_candidates_stay_on_the_axis(seed):
     # An elastic field traps amplitude only on closed orbits, so every zero
@@ -496,6 +583,19 @@ def test_deflation_skips_a_candidate_next_to_an_edge(monkeypatch, im_max):
     fam = DeterminantFamily(CoinField(1, one_corner_coins(0.6)))
     rect = KappaRect(np.pi / 2 - 1e-9, np.pi / 2 + 0.5, -0.05, im_max)
     assert winding_number(fam, rect) == 1
+
+
+@pytest.mark.parametrize("half", [1e-7, 1e-8, 1e-9])
+def test_tiny_square_deflates_its_own_zero(monkeypatch, half):
+    # The deflation gap shrinks with the square, so the simple zero at its
+    # centre is subtracted too: 2 seed panels per edge and one level, 32
+    # points.  With the fixed 1e-7 gap its pole took a second level, 64.
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.6)))
+    zero = np.pi / 2 - 0.05578588782855251j
+    assert fam.abs_det(zero) < 1e-12
+    sizes = dlogs_batches(monkeypatch)
+    assert winding_number(fam, KappaRect.around(zero, half)) == 1
+    assert sizes == [16, 16]
 
 
 # The bad-candidate stress: fields, with the depth of their strip.  The
@@ -779,6 +879,22 @@ def test_residual_refusal_reports_the_distance_to_the_zero(monkeypatch):
     monkeypatch.setattr(spectral, "ROOT_RESIDUAL_TOL", 1e-300)
     with pytest.raises(NumericalFailure, match=r"\|D'\| = \S+, so the zero is about \|D\|/\|D'\| = "):
         locate_roots(CoinField(1, one_corner_coins(0.6)))
+
+
+def test_residual_refusal_reports_the_residual_relative_to_hadamard(monkeypatch):
+    # The refusal gives |D| over the product of the row norms of I + M at the
+    # refused kappa, which bounds |D|: a ratio near rounding level tells a
+    # refusal of a true zero from a real failure.
+    monkeypatch.setattr(spectral, "ROOT_RESIDUAL_TOL", 1e-300)
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.6)))
+    with pytest.raises(NumericalFailure) as refusal:
+        locate_roots(fam)
+    message = str(refusal.value)
+    kappa = complex(message.split()[2])
+    reported = float(message.split("prod_i ||row_i(I + M)|| = ")[1])
+    rows = np.linalg.norm(fam.matrices(np.array([kappa]))[0] + np.eye(fam.m), axis=1)
+    assert reported == pytest.approx(fam.abs_det(kappa) / np.prod(rows), rel=0.06, abs=0.0)
+    assert reported < 1e-12
 
 
 def test_winding_vanishes_above_the_axis():
