@@ -10,7 +10,6 @@ Coins differ from the identity only inside the square box |x1| <= M0,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Tuple
 
@@ -34,9 +33,33 @@ UNITARITY_TOL = 1e-12
 _IDENTITY4 = np.eye(4, dtype=complex)
 _IDENTITY4.setflags(write=False)
 
-# Sites stacked at a time by WalkState.norm.  One stack of every site raised
-# the winding-sweep benchmark's peak RSS by about 9 MB (8 %) at no gain in speed.
+# Rows of amplitudes that WalkState.norm sums at a time, so that its
+# temporaries stay small whatever the support.
 _NORM_CHUNK = 1 << 10
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _integer_site(site) -> Site:
+    """The site as a pair of ints; ValueError for a coordinate that is not an integer."""
+    coords = []
+    for c in (site[0], site[1]):
+        try:
+            x = int(c)
+        except (TypeError, ValueError, OverflowError):
+            x = None
+        if x is None or x != c:
+            raise ValueError(f"site {site!r} has a coordinate that is not an integer")
+        coords.append(x)
+    return coords[0], coords[1]
+
+
+def _site_array(sites) -> np.ndarray:
+    """Integer sites as an (N, 2) int64 array; ValueError when one does not fit."""
+    try:
+        return np.array(sites, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ValueError("site coordinates must fit in 64-bit integers") from exc
 
 
 def unitarity_residual(m: np.ndarray) -> float:
@@ -47,37 +70,47 @@ def unitarity_residual(m: np.ndarray) -> float:
 
 
 class WalkState:
-    """Finitely supported C^4-valued state stored as a sparse site map.
+    """Finitely supported C^4-valued state, held as two arrays in insertion order.
 
-    Amplitudes are kept per site as length-4 complex vectors; sites absent
-    from the map read as zero.  Instances are treated as immutable by the
-    rest of the package.
+    The state keeps an (N, 2) int64 array of distinct sites and the (N, 4)
+    complex array of their amplitude vectors, no row of which is all zero;
+    sites absent from it read as zero.  Both arrays are read-only, and a
+    site -> row index is built on the first lookup.  Site coordinates are
+    integers that fit in 64 bits.
     """
 
-    __slots__ = ("_amp",)
+    __slots__ = ("_sites", "_amps", "_index")
 
     def __init__(self, amplitudes: Mapping[Site, np.ndarray] | None = None):
-        self._amp: Dict[Site, np.ndarray] = {}
-        if amplitudes:
-            for site, vec in amplitudes.items():
-                v = np.asarray(vec, dtype=complex)
-                if v.shape != (4,):
-                    raise ValueError(
-                        f"amplitude at {site} has shape {v.shape}, expected (4,)"
-                    )
-                if np.any(v != 0):
-                    self._amp[(int(site[0]), int(site[1]))] = v.copy()
+        amp: Dict[Site, np.ndarray] = {}
+        for site, vec in (amplitudes or {}).items():
+            v = np.asarray(vec, dtype=complex)
+            if v.shape != (4,):
+                raise ValueError(f"amplitude at {site} has shape {v.shape}, expected (4,)")
+            amp[_integer_site(site)] = v
+        state = WalkState._wrap(amp)
+        self._sites, self._amps, self._index = state._sites, state._amps, None
 
     @classmethod
-    def _adopt(cls, amp: Dict[Site, np.ndarray]) -> "WalkState":
-        """Wrap a site map that holds no all-zero vector, without copying."""
+    def _of_rows(cls, sites: np.ndarray, amps: np.ndarray) -> "WalkState":
+        """Wrap distinct int64 sites and their amplitude rows, dropping the all-zero rows.
+
+        The arrays are not copied when every row is kept.
+        """
+        keep = np.any(amps != 0, axis=1)
+        if not keep.all():
+            sites, amps = sites[keep], amps[keep]
+        sites.setflags(write=False)
+        amps.setflags(write=False)
         out = cls.__new__(cls)
-        out._amp = amp
+        out._sites, out._amps, out._index = sites, amps, None
         return out
 
     @classmethod
     def _wrap(cls, amp: Dict[Site, np.ndarray]) -> "WalkState":
-        return cls._adopt({s: v for s, v in amp.items() if np.any(v != 0)})
+        """Stack a map of integer sites to length-4 vectors, dropping the zero ones."""
+        return cls._of_rows(_site_array(list(amp)),
+                            np.array(list(amp.values()), dtype=complex).reshape(-1, 4))
 
     @classmethod
     def delta(cls, site: Site, chirality: int, value: complex = 1.0) -> "WalkState":
@@ -86,78 +119,91 @@ class WalkState:
         vec[chirality] = value
         return cls({tuple(site): vec})
 
+    def _row(self, site: Site) -> int | None:
+        if self._index is None:
+            self._index = dict(zip(self.sites(), range(len(self))))
+        return self._index.get(tuple(site))
+
     def amplitude(self, site: Site) -> np.ndarray:
         """Length-4 amplitude vector at a site (a copy; zeros off support)."""
-        vec = self._amp.get(tuple(site))
-        if vec is None:
+        row = self._row(site)
+        if row is None:
             return np.zeros(4, dtype=complex)
-        return vec.copy()
+        return self._amps[row].copy()
 
     def component(self, site: Site, chirality: int) -> complex:
-        vec = self._amp.get(tuple(site))
-        return complex(vec[chirality]) if vec is not None else 0.0j
+        row = self._row(site)
+        return complex(self._amps[row, chirality]) if row is not None else 0.0j
 
     def sites(self) -> Iterator[Site]:
-        return iter(self._amp)
+        x, y = self._sites.T.tolist()
+        return zip(x, y)
 
     def items(self) -> Iterator[Tuple[Site, np.ndarray]]:
-        return iter(self._amp.items())
+        return zip(self.sites(), self._amps)
 
     def support(self) -> frozenset:
-        return frozenset(self._amp)
+        return frozenset(self.sites())
 
     def norm(self) -> float:
         """The l2 norm: each site's |v|^2 summed, then the sites summed in order.
 
-        The sites are stacked _NORM_CHUNK at a time, and cumsum adds them one
+        The rows are taken _NORM_CHUNK at a time, and cumsum adds them one
         after another onto the running total, where sum would pair them, so
         the result is the one of a loop over the sites, to the last bit.
         """
-        vecs = iter(self._amp.values())
         total = np.zeros(1)
-        while chunk := list(itertools.islice(vecs, _NORM_CHUNK)):
-            per_site = (np.abs(np.array(chunk)) ** 2).sum(axis=1)
+        for start in range(0, len(self), _NORM_CHUNK):
+            per_site = (np.abs(self._amps[start : start + _NORM_CHUNK]) ** 2).sum(axis=1)
             total = np.cumsum(np.concatenate([total, per_site]))[-1:]
         return float(np.sqrt(total[0]))
 
     def inner(self, other: "WalkState") -> complex:
-        """l2 pairing (self, other) = sum_x self(x) . conj(other(x))."""
-        if len(other._amp) < len(self._amp):
-            return np.conj(other.inner(self))
+        """l2 pairing (self, other) = sum_x self(x) . conj(other(x)).
+
+        The sum runs over the sites of the smaller state, in its order.
+        """
+        if len(other) < len(self):
+            return complex(np.conj(other.inner(self)))
         total = 0.0j
-        for site, vec in self._amp.items():
-            ovec = other._amp.get(site)
-            if ovec is not None:
-                total += complex(np.dot(vec, ovec.conj()))
+        for site, vec in self.items():
+            row = other._row(site)
+            if row is not None:
+                total += complex(np.dot(vec, other._amps[row].conj()))
         return total
 
+    def _union(self, other: "WalkState") -> Tuple[np.ndarray, np.ndarray]:
+        """The sites of self, then those only other has, and the row of each of other's sites."""
+        sites = np.concatenate([self._sites, other._sites])
+        first, slot = _first_appearances(sites[:, 0], sites[:, 1])
+        return sites[first], slot[len(self) :]
+
     def scaled(self, factor: complex) -> "WalkState":
-        return WalkState._wrap({s: factor * v for s, v in self._amp.items()})
+        return WalkState._of_rows(self._sites, factor * self._amps)
 
     def plus(self, other: "WalkState") -> "WalkState":
-        amp = {s: v.copy() for s, v in self._amp.items()}
-        for site, vec in other._amp.items():
-            if site in amp:
-                amp[site] = amp[site] + vec
-            else:
-                amp[site] = vec.copy()
-        return WalkState._wrap(amp)
+        sites, rows = self._union(other)
+        amps = np.empty((len(sites), 4), dtype=complex)
+        amps[: len(self)] = self._amps
+        shared = rows < len(self)
+        amps[rows[shared]] += other._amps[shared]
+        amps[rows[~shared]] = other._amps[~shared]
+        return WalkState._of_rows(sites, amps)
 
     def allclose(self, other: "WalkState", tol: float = 1e-12) -> bool:
-        for site in set(self._amp) | set(other._amp):
-            a = self._amp.get(site)
-            b = other._amp.get(site)
-            av = a if a is not None else 0.0
-            bv = b if b is not None else 0.0
-            if np.max(np.abs(av - bv)) > tol:
-                return False
-        return True
+        """True when every component differs by at most tol; a NaN difference is not close."""
+        sites, rows = self._union(other)
+        diff = np.zeros((len(sites), 4), dtype=complex)
+        diff[: len(self)] = self._amps
+        with np.errstate(invalid="ignore"):  # inf - inf
+            diff[rows] -= other._amps
+        return bool(np.all(np.abs(diff) <= tol))
 
     def __len__(self) -> int:
-        return len(self._amp)
+        return len(self._sites)
 
     def __repr__(self) -> str:
-        return f"WalkState(support={len(self._amp)} sites, norm={self.norm():.6g})"
+        return f"WalkState(support={len(self)} sites, norm={self.norm():.6g})"
 
 
 class CoinField:
@@ -322,48 +368,77 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     time and reconstructed at the end by free flight.  Only a dense window
     (the box dilated by one) is evolved step by step, which keeps the cost
     per step independent of t and makes horizons of 10^4 steps cheap while
-    remaining exact.
+    remaining exact.  Amplitude moving in from outside the window is added
+    to the window at the step its ray enters it, found before the first step.
 
-    The window's outflow is banked by step: the exit amplitudes of step s
+    One step is two numpy calls: the coins mix the window into a buffer
+    that ends in a zero slot, and one take shifts the buffer into a row of
+    the bank, reading the zero slot where nothing shifts in.  A bank row is
+    the next step's window followed by the step's exit amplitudes
     (chirality j at the window's last site along j, ordered left, right,
     down, up and along each side, 4n of them for the window's side
-    n = 2 M0 + 3) go to a block of _BANK_ROWS steps, and each full block
-    keeps only its nonzero entries, so the bank holds what actually left
-    the window.  The result lists the window's sites, then the sites of
-    amplitude still moving in, then the free-flight targets of what was
-    banked at t = 0 and of the outflow by step.  A site keeps the place
-    where it first occurs, and amplitudes that meet at a site are added in
-    that order.  Site coordinates must fit in 64-bit integers.
+    n = 2 M0 + 3).  Each full block of _BANK_ROWS rows keeps only its
+    nonzero exits, so the bank holds what actually left the window.  When,
+    after the last amplitude moved in, a block ends on a window equal bit
+    for bit to an earlier one of the block, the steps between them repeat
+    for ever, and the rest of the bank is copied from them.  A walk that
+    decays does this in subnormal numbers: over 10^4 steps, criterion 04's
+    five fields are found to repeat with periods of 8 to 40 steps at the
+    block ends 4,095 to 8,191.
+
+    The result lists the window's sites, then the sites of amplitude still
+    moving in, then the free-flight targets of what was banked at t = 0 and
+    of the outflow by step.  A site keeps the place where it first occurs,
+    and amplitudes that meet at a site are added in that order.  It is
+    built as the state's two arrays, without an object per site.  Site
+    coordinates must fit in 64-bit integers.
     """
     if int(t) != t or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t}")
     t = int(t)
     coin = _coin_field_of(op)
     if t == 0:
-        return WalkState._wrap({s: v.copy() for s, v in u.items()})
+        return WalkState._of_rows(u._sites, u._amps)
 
     m0 = coin.box_radius
     r = m0 + 1  # window radius
     n = 2 * r + 1  # window side length
+    size = n * n * 4
+    steps = np.array(STEPS)
 
+    inside = np.all((-r <= u._sites) & (u._sites <= r), axis=1)
     active = np.zeros((n, n, 4), dtype=complex)
-    movers: Dict[Tuple[Site, int], complex] = {}
-    banked: list[Tuple[int, int, int, complex]] = []  # (x, y, chirality, value) at t = 0
+    in_x, in_y = (u._sites[inside] + r).T
+    active[in_x, in_y] += u._amps[inside]
 
-    for site, vec in u.items():
-        x, y = site
-        if max(abs(x), abs(y)) <= r:
-            active[x + r, y + r] += vec
-            continue
-        for j in CHIRALITIES:
-            a = vec[j]
-            if a == 0:
-                continue
-            if not ray_meets_box(site, j, m0):
-                banked.append((x, y, j, a))
-            else:
-                key = (site, j)
-                movers[key] = movers.get(key, 0.0) + a
+    # The nonzero entries outside the window, by site and then chirality.
+    # Those on a ray that meets the box move in; the rest are banked at t = 0.
+    out_amps = u._amps[~inside]
+    out_site, out_j = np.nonzero(out_amps != 0)
+    out_a = out_amps[out_site, out_j]
+    out_xy = u._sites[~inside][out_site]
+    sign, axis = np.array(STEP_SIGN)[out_j], np.array(STEP_AXIS)[out_j]
+    along = np.where(axis == 0, out_xy[:, 0], out_xy[:, 1])
+    across = np.where(axis == 0, out_xy[:, 1], out_xy[:, 0])
+    moves_in = (-m0 <= across) & (across <= m0) & np.where(sign > 0, along <= m0, along >= -m0)
+    # A mover reaches the window after |along| - r steps.  That fits in int64
+    # for every mover, so wrapping arithmetic gives it exactly; the values of
+    # the other entries are not used.
+    arrival = -sign * along - r
+    enters = np.flatnonzero(moves_in & (arrival <= t))
+    enters = enters[np.argsort(arrival[enters], kind="stable")]
+    entry_xy = out_xy[enters] + steps[out_j[enters]] * arrival[enters, None] + r
+    entry_idx = (entry_xy[:, 0] * n + entry_xy[:, 1]) * 4 + out_j[enters]
+    at_step, starts = np.unique(arrival[enters] - 1, return_index=True)
+    entering = dict(zip(at_step.tolist(), zip(np.split(entry_idx, starts[1:]),
+                                              np.split(out_a[enters], starts[1:]))))
+    lead = np.concatenate([np.flatnonzero(moves_in & (arrival > t)), np.flatnonzero(~moves_in)])
+    lead_xy, lead_shift = out_xy[lead], steps[out_j[lead]] * t
+    # What was banked flies away from the box, and may leave int64.
+    if np.any(((lead_shift > 0) & (lead_xy > _INT64.max - t))
+              | ((lead_shift < 0) & (lead_xy < _INT64.min + t))):
+        raise ValueError("evolve needs site coordinates that fit in 64-bit integers")
+    lead_xy = lead_xy + lead_shift
 
     # Stacked 4x4 coins over the window (identity off the box).
     coins = np.empty((n, n, 4, 4), dtype=complex)
@@ -371,77 +446,80 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
         for iy in range(n):
             coins[ix, iy] = coin.coin_at((ix - r, iy - r))
 
-    # The shift on the flattened window: entry src moves to entry dst, and the
-    # exit entries leave it for the ring of sites around it.
-    steps = np.array(STEPS)
+    # The shift on the flattened window: the entries src move to a window
+    # entry, and the exit entries leave it for the ring of sites around it.
+    # gather lists the source of each entry of a bank row: for the window
+    # part, the entry that shifts into it or the zero slot.
     wx, wy, wj = np.indices((n, n, 4)).reshape(3, -1)
     to_x, to_y = wx + steps[wj, 0], wy + steps[wj, 1]
-    inside = (0 <= to_x) & (to_x < n) & (0 <= to_y) & (to_y < n)
-    src = np.flatnonzero(inside)
-    dst = (to_x[src] * n + to_y[src]) * 4 + wj[src]
-    exit_idx = np.flatnonzero(~inside)
+    exits = (to_x < 0) | (to_x >= n) | (to_y < 0) | (to_y >= n)
+    src = np.flatnonzero(~exits)
+    exit_idx = np.flatnonzero(exits)
     exit_idx = exit_idx[np.argsort(wj[exit_idx], kind="stable")]
-
-    # Each block of steps' exits is banked as its nonzero entries, in the
-    # row-major order of one (t, 4n) array.
     width = exit_idx.size
-    block = np.empty((min(t, _BANK_ROWS), width), dtype=complex)
+    gather = np.full(size + width, size)
+    gather[(to_x[src] * n + to_y[src]) * 4 + wj[src]] = src
+    gather[size:] = exit_idx
+
+    mixed = np.zeros(size + 1, dtype=complex)
+    mixed_window = mixed[:size].reshape(n, n, 4)
+    block = np.empty((min(t, _BANK_ROWS), size + width), dtype=complex)
+    windows = [bank_row[:size].reshape(n, n, 4) for bank_row in block]
+    window_bits = block[:, :size].view(np.int64)
+    last_entry = max(entering, default=-1)
     bank_flat, bank_amps = [], []
     for step in range(t):
-        mixed = np.einsum("xyjk,xyk->xyj", coins, active).ravel()
+        np.einsum("xyjk,xyk->xyj", coins, active, out=mixed_window)
         row = step % _BANK_ROWS
-        mixed.take(exit_idx, out=block[row])
+        # mode="raise" would buffer the output.
+        mixed.take(gather, out=block[row], mode="clip")
+        active = windows[row]
+        if step in entering:
+            idx, amps = entering[step]
+            block[row, idx] += amps
         if row == _BANK_ROWS - 1 or step == t - 1:
-            filled = block[: row + 1].ravel()
+            # The block's exits, nonzero entries only, in the row-major order
+            # of one (t, width) array.
+            filled = block[: row + 1, size:].ravel()
             flat = np.flatnonzero(filled)
             bank_flat.append(flat + (step - row) * width)
             bank_amps.append(filled[flat])
-        new = np.zeros(n * n * 4, dtype=complex)
-        new[dst] = mixed[src]
-        new = new.reshape(n, n, 4)
-
-        if movers:
-            advanced: Dict[Tuple[Site, int], complex] = {}
-            for ((x, y), j), a in movers.items():
-                dx, dy = STEPS[j]
-                nx, ny = x + dx, y + dy
-                if max(abs(nx), abs(ny)) <= r:
-                    new[nx + r, ny + r, j] += a
-                else:
-                    advanced[((nx, ny), j)] = a
-            movers = advanced
-
-        active = new
+            # Once nothing more moves in, each window is a fixed function of
+            # the one before, so a repeated window repeats the p steps since
+            # its earlier copy, exits included, for the rest of the time.
+            repeat = np.flatnonzero(np.all(window_bits[:row] == window_bits[row], axis=1))
+            repeat = repeat[step - row + repeat >= last_entry]
+            if repeat.size:
+                p = row - repeat[-1]
+                period = block[row - p + 1 : row + 1, size:].ravel()
+                flat = np.flatnonzero(period)
+                left = t - 1 - step
+                tiles = np.arange((left + p - 1) // p)[:, None] * (p * width) + flat
+                tiles = tiles.ravel()[: np.searchsorted(tiles.ravel(), left * width)]
+                bank_flat.append(tiles + (step + 1) * width)
+                bank_amps.append(period[tiles % (p * width)])
+                active = windows[row - p + left % p]
+                break
 
     # Every amplitude outside the window, in the order it is added: what is
     # still moving in, what left at t = 0, then the window's outflow by step.
     # Each flies freely for the rest of the time.
-    amps = np.concatenate(bank_amps)
-    del block, filled, bank_amps  # filled is a view of block
     step_row, col = np.divmod(np.concatenate(bank_flat), width)
     del bank_flat
-    lead = [(x, y, j, a) for ((x, y), j), a in movers.items()]
-    lead += [(x + STEPS[j][0] * t, y + STEPS[j][1] * t, j, a) for x, y, j, a in banked]
-    lead_x, lead_y, lead_j, lead_a = np.array(lead, dtype=object).reshape(-1, 4).T
-    try:
-        lead_x, lead_y = lead_x.astype(np.int64), lead_y.astype(np.int64)
-    except OverflowError as exc:
-        raise ValueError("evolve needs site coordinates that fit in 64-bit integers") from exc
     leave = exit_idx[col]
     flight = t - 1 - step_row
-    chir = np.concatenate([lead_j.astype(np.intp), wj[leave]])
-    amps = np.concatenate([lead_a.astype(complex), amps])
+    chir = np.concatenate([out_j[lead], wj[leave]])
+    amps = np.concatenate([out_a[lead], *bank_amps])
+    del bank_amps
     ax, ay = np.nonzero(np.any(active != 0, axis=2))
-    site_x = np.concatenate([ax - r, lead_x, to_x[leave] - r + steps[wj[leave], 0] * flight])
-    site_y = np.concatenate([ay - r, lead_y, to_y[leave] - r + steps[wj[leave], 1] * flight])
+    site_x = np.concatenate([ax - r, lead_xy[:, 0], to_x[leave] - r + steps[wj[leave], 0] * flight])
+    site_y = np.concatenate([ay - r, lead_xy[:, 1], to_y[leave] - r + steps[wj[leave], 1] * flight])
 
     first, slot = _first_appearances(site_x, site_y)
     amp = np.zeros((first.size, 4), dtype=complex)
     amp[: ax.size] = active[ax, ay]  # the window's sites come first, once each
     np.add.at(amp, (slot[ax.size :], chir), amps)
-    keep = np.any(amp != 0, axis=1)
-    sites = zip(site_x[first[keep]].tolist(), site_y[first[keep]].tolist())
-    return WalkState._adopt(dict(zip(sites, itertools.compress(amp, keep))))
+    return WalkState._of_rows(np.stack([site_x[first], site_y[first]], axis=1), amp)
 
 
 def _first_appearances(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

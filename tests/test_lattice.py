@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,3 +373,243 @@ def test_coin_json_rejects_a_malformed_cell(cell):
     cells[0][0] = cell
     with pytest.raises(ValueError, match=r"coin entry .*'x': \[0, 0\].*not a pair of numbers"):
         coin_field_from_json({"M0": 1, "coins": [{"x": [0, 0], "m": cells}]})
+
+
+# The dict-based evolve and WalkState operations that the array-backed ones
+# replaced, kept as references: a state is a dict from site to vector.  The
+# reference evolve banks every step's exits in one (t, 4n) array, which the
+# bank blocks do not change.
+
+def _reference_evolve(coin, u, t):
+    if t == 0:
+        return {s: v.copy() for s, v in u.items()}
+    m0 = coin.box_radius
+    r = m0 + 1
+    n = 2 * r + 1
+
+    active = np.zeros((n, n, 4), dtype=complex)
+    movers, banked = {}, []
+    for site, vec in u.items():
+        x, y = site
+        if max(abs(x), abs(y)) <= r:
+            active[x + r, y + r] += vec
+            continue
+        for j in CHIRALITIES:
+            a = vec[j]
+            if a == 0:
+                continue
+            if not ray_meets_box(site, j, m0):
+                banked.append((x, y, j, a))
+            else:
+                movers[(site, j)] = movers.get((site, j), 0.0) + a
+
+    coins = np.empty((n, n, 4, 4), dtype=complex)
+    for ix in range(n):
+        for iy in range(n):
+            coins[ix, iy] = coin.coin_at((ix - r, iy - r))
+
+    steps = np.array(STEPS)
+    wx, wy, wj = np.indices((n, n, 4)).reshape(3, -1)
+    to_x, to_y = wx + steps[wj, 0], wy + steps[wj, 1]
+    inside = (0 <= to_x) & (to_x < n) & (0 <= to_y) & (to_y < n)
+    src = np.flatnonzero(inside)
+    dst = (to_x[src] * n + to_y[src]) * 4 + wj[src]
+    exit_idx = np.flatnonzero(~inside)
+    exit_idx = exit_idx[np.argsort(wj[exit_idx], kind="stable")]
+
+    width = exit_idx.size
+    exits = np.empty((t, width), dtype=complex)
+    for step in range(t):
+        mixed = np.einsum("xyjk,xyk->xyj", coins, active).ravel()
+        mixed.take(exit_idx, out=exits[step])
+        new = np.zeros(n * n * 4, dtype=complex)
+        new[dst] = mixed[src]
+        new = new.reshape(n, n, 4)
+        advanced = {}
+        for ((x, y), j), a in movers.items():
+            nx, ny = x + STEPS[j][0], y + STEPS[j][1]
+            if max(abs(nx), abs(ny)) <= r:
+                new[nx + r, ny + r, j] += a
+            else:
+                advanced[((nx, ny), j)] = a
+        movers = advanced
+        active = new
+
+    flat = np.flatnonzero(exits)
+    step_row, col = np.divmod(flat, width)
+    lead = [(x, y, j, a) for ((x, y), j), a in movers.items()]
+    lead += [(x + STEPS[j][0] * t, y + STEPS[j][1] * t, j, a) for x, y, j, a in banked]
+    lead_x, lead_y, lead_j, lead_a = np.array(lead, dtype=object).reshape(-1, 4).T
+    leave = exit_idx[col]
+    flight = t - 1 - step_row
+    chir = np.concatenate([lead_j.astype(np.intp), wj[leave]])
+    amps = np.concatenate([lead_a.astype(complex), exits.ravel()[flat]])
+    ax, ay = np.nonzero(np.any(active != 0, axis=2))
+    site_x = np.concatenate([ax - r, lead_x.astype(np.int64),
+                             to_x[leave] - r + steps[wj[leave], 0] * flight])
+    site_y = np.concatenate([ay - r, lead_y.astype(np.int64),
+                             to_y[leave] - r + steps[wj[leave], 1] * flight])
+
+    first, slot = lattice._first_appearances(site_x, site_y)
+    amp = np.zeros((first.size, 4), dtype=complex)
+    amp[: ax.size] = active[ax, ay]
+    np.add.at(amp, (slot[ax.size :], chir), amps)
+    keep = np.any(amp != 0, axis=1)
+    sites = zip(site_x[first[keep]].tolist(), site_y[first[keep]].tolist())
+    return dict(zip(sites, itertools.compress(amp, keep)))
+
+
+def _reference_plus(u, v):
+    amp = {s: a.copy() for s, a in u.items()}
+    for site, vec in v.items():
+        amp[site] = amp[site] + vec if site in amp else vec.copy()
+    return {s: a for s, a in amp.items() if np.any(a != 0)}
+
+
+def _reference_scaled(u, factor):
+    return {s: a for s, a in ((s, factor * a) for s, a in u.items()) if np.any(a != 0)}
+
+
+def _reference_inner(u, v):
+    if len(v) < len(u):
+        return np.conj(_reference_inner(v, u))
+    total = 0.0j
+    for site, vec in u.items():
+        if site in v:
+            total += complex(np.dot(vec, v[site].conj()))
+    return total
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+# t = None draws t from 0 to 120.
+@pytest.mark.parametrize("t", [0, 1, lattice._BANK_ROWS - 1, lattice._BANK_ROWS,
+                               lattice._BANK_ROWS + 1, None])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    m0=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.2, 0.9),
+    drawn_t=st.integers(0, 120),
+    inside=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=3),
+    outside=st.lists(OUTSIDE_START, max_size=4),
+)
+def test_evolve_equals_the_dict_reference_to_the_bit(t, m0, seed, density, drawn_t, inside,
+                                                    outside):
+    t = drawn_t if t is None else t
+    coin = random_coin_field(m0, seed=seed, density=density)
+    rng = np.random.default_rng(seed)
+    r = m0 + 1
+    amp = {site: rng.standard_normal(4) + 1j * rng.standard_normal(4) for site in inside}
+    for j, across, beyond, toward in outside:
+        (dx, dy), sign = STEPS[j], -1 if toward else 1
+        site = (sign * dx * (r + beyond) + dy * across, sign * dy * (r + beyond) + dx * across)
+        vec = np.zeros(4, dtype=complex)
+        vec[j] = complex(*rng.standard_normal(2))
+        amp[site] = amp.get(site, 0) + vec
+    u = WalkState(amp)
+    assert _state_bytes(evolve(WalkOperator(coin), u, t)) == _state_bytes(
+        _reference_evolve(coin, dict(u.items()), t))
+
+
+def test_evolve_equals_the_dict_reference_on_criterion_04_field_3():
+    # Criterion 04's first field and state: 10^4 steps, 93,705 sites.  From
+    # step 7,167 on, the window repeats every 40 steps in subnormal numbers.
+    coin = random_coin_field(1, 3)
+    rng = np.random.default_rng(4)
+    amp = {(x1, x2): rng.standard_normal(4) + 1j * rng.standard_normal(4)
+           for x1 in (-1, 0, 1) for x2 in (-1, 0, 1)}
+    raw = WalkState(amp)
+    u = WalkState({s: v / raw.norm() for s, v in amp.items()})
+    fast = evolve(WalkOperator(coin), u, 10_000)
+    reference = _reference_evolve(coin, dict(u.items()), 10_000)
+    assert list(fast.sites()) == list(reference)
+    assert fast.norm().hex() == _norm_by_site(reference).hex()
+    assert _state_bytes(fast) == _state_bytes(reference)
+
+
+def test_evolve_copies_a_repeating_window_to_the_bit(monkeypatch):
+    # The corner coins route a loop of 8 steps, so the window repeats every 8
+    # steps, and blocks of 20 steps see it.  A right mover from x = -40 crosses
+    # the window from step 36 on, so no repeat before it counts.
+    coin = CoinField(2, corner_coins(2, 2))
+    u = WalkState.delta((0, 0), LEFT).plus(WalkState.delta((-40, 1), RIGHT, 0.5j))
+    monkeypatch.setattr(lattice, "_BANK_ROWS", 20)
+    for t in range(130):
+        assert _state_bytes(evolve(WalkOperator(coin), u, t)) == _state_bytes(
+            _reference_evolve(coin, dict(u.items()), t)), t
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_state_operations_equal_the_dict_reference_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+
+    def random_state():
+        sites = {(int(x), int(y)) for x, y in rng.integers(-4, 5, size=(int(rng.integers(0, 40)), 2))}
+        return {s: rng.standard_normal(4) + 1j * rng.standard_normal(4) for s in sorted(sites, key=str)}
+
+    a, b = random_state(), random_state()
+    for site in list(a)[:3]:  # sites where a + b cancels exactly
+        b[site] = -a[site]
+    u, v = WalkState(a), WalkState(b)
+    assert _state_bytes(u) == _state_bytes(a)
+    assert u.norm() == _norm_by_site(a)
+    assert _state_bytes(u.plus(v)) == _state_bytes(_reference_plus(a, b))
+    assert _state_bytes(v.plus(u)) == _state_bytes(_reference_plus(b, a))
+    for factor in (2.0 - 0.5j, 1e-300j, 0.0):
+        assert _state_bytes(u.scaled(factor)) == _state_bytes(_reference_scaled(a, factor))
+    assert _bits(u.inner(v)) == _bits(_reference_inner(a, b))
+    assert _bits(v.inner(u)) == _bits(_reference_inner(b, a))
+
+
+def test_inner_is_a_python_complex_whichever_state_is_smaller():
+    big = WalkState({(0, 0): [1, 2j, 0, 0], (1, 0): [0, 0, 3, 0]})
+    small = WalkState.delta((0, 0), RIGHT, 1j)
+    assert type(big.inner(small)) is complex and big.inner(small) == 2
+    assert type(small.inner(big)) is complex and small.inner(big) == 2
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(0.0, np.nan), np.inf])
+def test_allclose_does_not_count_a_non_finite_difference_as_close(value):
+    bad = WalkState({(0, 0): [value, 0, 0, 0]})
+    assert not bad.allclose(WalkState())
+    assert not WalkState().allclose(bad)
+    assert not bad.allclose(bad)
+    one = WalkState.delta((0, 0), LEFT)
+    assert one.allclose(WalkState.delta((0, 0), LEFT, 1 + 1e-13))
+    assert not one.allclose(WalkState.delta((0, 0), LEFT, 1 + 1e-11))
+
+
+@pytest.mark.parametrize("site", [(0.7, -1.9), (0, 2.5), (np.float64(-0.5), 1), (np.nan, 0),
+                                  (np.inf, 0), ("1", 0), (1j, 0)])
+def test_walk_state_rejects_a_coordinate_that_is_not_an_integer(site):
+    with pytest.raises(ValueError, match="not an integer"):
+        WalkState({site: np.ones(4)})
+
+
+def test_walk_state_keeps_integral_coordinates_of_any_type():
+    u = WalkState({(2.0, np.int32(-1)): np.ones(4), (2**63 - 1, -(2**63)): np.ones(4)})
+    assert list(u.sites()) == [(2, -1), (2**63 - 1, -(2**63))]
+    assert all(type(c) is int for site in u.sites() for c in site)
+
+
+@pytest.mark.parametrize("site", [(2**63, 0), (0, -(2**63) - 1), (1e19, 0)])
+def test_walk_state_rejects_a_coordinate_beyond_64_bits(site):
+    with pytest.raises(ValueError, match="64-bit"):
+        WalkState({site: np.ones(4)})
+
+
+def test_steps_that_leave_64_bits_raise():
+    op = WalkOperator(random_coin_field(1, seed=2))
+    top, bottom = 2**63 - 1, -(2**63)
+    assert evolve(op, WalkState.delta((top - 3, 0), RIGHT), 3).support() == {(top, 0)}
+    assert evolve(op, WalkState.delta((0, bottom + 3), DOWN), 3).support() == {(0, bottom)}
+    # Amplitude on the far edge heading for the box only moves in.
+    assert evolve(op, WalkState.delta((bottom, 0), RIGHT), 3).support() == {(bottom + 3, 0)}
+    for site, j in [((top - 2, 0), RIGHT), ((0, bottom + 2), DOWN), ((bottom + 1, 5), LEFT)]:
+        with pytest.raises(ValueError, match="64-bit"):
+            evolve(op, WalkState.delta(site, j), 3)
+    with pytest.raises(ValueError, match="64-bit"):
+        apply_walk(op, WalkState.delta((top, 0), RIGHT))
