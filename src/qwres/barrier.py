@@ -37,7 +37,7 @@ from .lattice import (
     ray_meets_box,
 )
 from .spectral import TWO_PI, KappaRect, NumericalFailure
-from .translation import translation_weight
+from .translation import translation_weights
 
 # Full mirror: swaps left with right and down with up.  It satisfies the
 # pinned rows of every wall segment, so it is the canonical wall coin.
@@ -147,6 +147,8 @@ class NonPenetrableWalk:
         self.operator = WalkOperator(self.coin)
         self.pairs = interior_pairs(m0)
         self._index = {pair: i for i, pair in enumerate(self.pairs)}
+        self._pair_sites = np.array([site for site, _ in self.pairs], dtype=np.int64)
+        self._pair_chiralities = np.array([j for _, j in self.pairs])
 
     @property
     def interior_dimension(self) -> int:
@@ -168,11 +170,7 @@ class NonPenetrableWalk:
         return vec
 
     def vector_to_state(self, vec: np.ndarray) -> WalkState:
-        amp: Dict[Site, np.ndarray] = {}
-        for (site, j), a in zip(self.pairs, vec):
-            if a != 0:
-                amp.setdefault(site, np.zeros(4, dtype=complex))[j] = a
-        return WalkState(amp)
+        return WalkState.from_entries(self._pair_sites, self._pair_chiralities, vec)
 
 
 def build_nonpenetrable(spec: BarrierSpec) -> NonPenetrableWalk:
@@ -285,10 +283,7 @@ def green_apply(
     walk = iu.walk
     vec = walk.state_to_vector(f)
     if theta is not None:
-        weights = np.array(
-            [translation_weight(-theta, site, j) for site, j in walk.pairs], dtype=complex
-        )
-        vec = weights * vec
+        vec = translation_weights(-theta, walk._pair_sites, walk._pair_chiralities) * vec
     w = np.exp(-1j * complex(kappa))
     denom = iu.eigenvalues - w
     small = np.min(np.abs(denom))
@@ -299,10 +294,7 @@ def green_apply(
     coeffs = iu.vectors.conj().T @ vec
     out = iu.vectors @ (coeffs / denom)
     if theta is not None:
-        weights = np.array(
-            [translation_weight(theta, site, j) for site, j in walk.pairs], dtype=complex
-        )
-        out = weights * out
+        out = translation_weights(theta, walk._pair_sites, walk._pair_chiralities) * out
     return walk.vector_to_state(out)
 
 

@@ -196,13 +196,10 @@ def build_orbit_eigenfunction(orbit: ClosedOrbit, lam: float) -> WalkState:
             f"lambda = {lam} violates the quantization condition of a period "
             f"{orbit.period} orbit (residual {_qc_residual(orbit, lam):.3e})"
         )
-    amp: Dict[Site, np.ndarray] = {}
-    f = 1.0 + 0.0j
-    for t, (q, p) in enumerate(orbit.states):
-        vec = amp.setdefault(q, np.zeros(4, dtype=complex))
-        vec[p] += f
-        f = f * np.exp(1j * (lam + orbit.phases[t]))
-    return WalkState(amp)
+    values = [1.0 + 0.0j]
+    for phase in orbit.phases[:-1]:
+        values.append(values[-1] * np.exp(1j * (lam + phase)))
+    return WalkState.from_entries(*zip(*orbit.states), values)
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,12 @@ def _integer_site(site) -> Site:
 
 
 def _site_array(sites) -> np.ndarray:
-    """Integer sites as an (N, 2) int64 array; ValueError when one does not fit."""
+    """Sites as an (N, 2) int64 array; ValueError for a coordinate that is not a 64-bit integer."""
+    xy = np.asarray(sites)
+    if xy.dtype.kind != "i":
+        xy = [_integer_site(site) for site in xy.reshape(-1, 2).tolist()]
     try:
-        return np.array(sites, dtype=np.int64).reshape(-1, 2)
+        return np.asarray(xy, dtype=np.int64).reshape(-1, 2)
     except OverflowError as exc:
         raise ValueError("site coordinates must fit in 64-bit integers") from exc
 
@@ -113,11 +116,29 @@ class WalkState:
                             np.array(list(amp.values()), dtype=complex).reshape(-1, 4))
 
     @classmethod
+    def from_entries(cls, sites, chiralities, values) -> "WalkState":
+        """The sum of values[i] on (sites[i], chiralities[i]), added in the given order.
+
+        Sites keep the order in which they first occur, and sites whose
+        amplitudes sum to zero are left out.  ValueError for a chirality
+        outside 0-3, a site that is not a pair of 64-bit integers, or inputs
+        of different lengths.
+        """
+        xy, j = _site_array(sites), np.asarray(chiralities).reshape(-1)
+        if j.size and (j.dtype.kind not in "iu" or np.any((j < 0) | (j > 3))):
+            raise ValueError(f"chiralities are the integers 0 to 3, got {j.tolist()}")
+        values = np.asarray(values, dtype=complex).reshape(-1)
+        if not len(xy) == len(j) == len(values):
+            raise ValueError(f"{len(xy)} sites, {len(j)} chiralities and {len(values)} values")
+        first, slot = _first_appearances(xy[:, 0], xy[:, 1])
+        amps = np.zeros((first.size, 4), dtype=complex)
+        np.add.at(amps, (slot, j.astype(np.intp)), values)
+        return cls._of_rows(xy[first], amps)
+
+    @classmethod
     def delta(cls, site: Site, chirality: int, value: complex = 1.0) -> "WalkState":
         """State concentrated on a single (site, chirality) pair."""
-        vec = np.zeros(4, dtype=complex)
-        vec[chirality] = value
-        return cls({tuple(site): vec})
+        return cls.from_entries([site], [chirality], [value])
 
     def _row(self, site: Site) -> int | None:
         if self._index is None:

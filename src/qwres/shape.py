@@ -316,27 +316,12 @@ def _amplitudes_around(slots, entries, kappa: complex) -> list:
     return values
 
 
-def _loop_eigenstate(slots, values) -> WalkState:
-    amp: Dict[Site, np.ndarray] = {}
-    for (site, chir), val in zip(slots, values):
-        vec = amp.setdefault(site, np.zeros(4, dtype=complex))
-        vec[chir] += val
-    return WalkState(amp)
-
-
 def _resonant_state(fam: CornerFamily, slots, values, kappa: complex) -> OutgoingState:
     """Assemble the escaping mode: loop amplitudes plus rays out of each corner."""
     box = fam.box_radius
     dilated = box + 1
     phase = cmath.exp(1j * kappa)
-    amp: Dict[Site, np.ndarray] = {}
-
-    def add(site: Site, chir: int, val: complex) -> None:
-        vec = amp.setdefault(site, np.zeros(4, dtype=complex))
-        vec[chir] += val
-
-    for (site, chir), val in zip(slots, values):
-        add(site, chir, val)
+    entries = [(site, chir, val) for (site, chir), val in zip(slots, values)]
     tails: List[Dict[int, complex]] = [{} for _ in CHIRALITIES]
     for (site, chir), val in zip(slots, values):
         coin = fam.coin.coin_at(site)
@@ -357,8 +342,8 @@ def _resonant_state(fam: CornerFamily, slots, values, kappa: complex) -> Outgoin
                 ray_site = (site[0] + n * step[0], site[1] + n * step[1])
                 if max(abs(ray_site[0]), abs(ray_site[1])) > dilated:
                     break
-                add(ray_site, j, emitted * phase ** n)
-    return OutgoingState(kappa, box, WalkState(amp), *tails)
+                entries.append((ray_site, j, emitted * phase ** n))
+    return OutgoingState(kappa, box, WalkState.from_entries(*zip(*entries)), *tails)
 
 
 def corner_quantization(fam: CornerFamily) -> QuantizationData:
@@ -405,7 +390,7 @@ def corner_quantization(fam: CornerFamily) -> QuantizationData:
             if is_eigen:
                 kappa = complex(re, 0.0)
                 values = _amplitudes_around(slots, entries, kappa)
-                state: object = _loop_eigenstate(slots, values)
+                state: object = WalkState.from_entries(*zip(*slots), values)
                 kind = "eigenvalue"
             else:
                 kappa = complex(re, math.log(abs(c)) / n)
@@ -720,15 +705,10 @@ def perturbation_identities(
     wall = frozenset(wall_sites(fam.box_radius))
 
     def hop_difference(u: WalkState) -> WalkState:
-        clipped = WalkState(
-            {site: u.amplitude(site) for site in u.sites() if site in wall}
-        )
+        on_wall = np.array([site in wall for site in u.sites()], dtype=bool)
+        clipped = WalkState._of_rows(u._sites[on_wall], u._amps[on_wall])
         sealed_step = apply_walk(fam.base.operator, clipped)
-        open_step = apply_walk(fam.operator, clipped)
-        out = {}
-        for site in set(sealed_step.sites()) | set(open_step.sites()):
-            out[site] = sealed_step.amplitude(site) - open_step.amplitude(site)
-        return WalkState(out)
+        return sealed_step.plus(apply_walk(fam.operator, clipped).scaled(-1.0))
 
     direct = resolvent_matrix_element(
         open_coin, kappa, left_probe, right_probe

@@ -300,6 +300,8 @@ class DeterminantFamily:
         self.coeff = coeff
         self.trivial = not np.any(coeff)
         self._power_index = expo.astype(int)
+        # The full M as a single block, for det_dlog.
+        self._whole = (coeff[None], self._power_index[None], 1j * expo[None])
         self._top = int(expo.max()) if expo.size else 0
         self._candidates: Optional[np.ndarray] = None
         self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
@@ -365,36 +367,31 @@ class DeterminantFamily:
         most _CHUNK_ENTRIES block entries; a stack in which some I + M_bb is
         singular comes back as inf throughout.
         """
-        kappas = np.asarray(kappas, dtype=complex).reshape(-1)
-        out = np.zeros(kappas.shape, dtype=complex)
-        blocks = self.blocks
-        if not blocks:
+        return self._dlog_sums(self._powers(np.asarray(kappas, dtype=complex).reshape(-1)),
+                               self.blocks)
+
+    @staticmethod
+    def _dlog_sums(powers: np.ndarray, stacks) -> np.ndarray:
+        """The sum over stacks of trace((I + M_bb)^{-1} M_bb'), as in dlogs, per row of powers."""
+        out = np.zeros(len(powers), dtype=complex)
+        if not stacks:
             return out
-        chunk = max(1, _CHUNK_ENTRIES // sum(c.size for c, _, _ in blocks))
-        for lo in range(0, len(kappas), chunk):
-            powers = self._powers(kappas[lo : lo + chunk])
+        chunk = max(1, _CHUNK_ENTRIES // sum(c.size for c, _, _ in stacks))
+        for lo in range(0, len(powers), chunk):
             try:
-                for coeff, index, dexpo in blocks:
-                    mats = coeff * powers[:, index]
+                for coeff, index, dexpo in stacks:
+                    mats = coeff * powers[lo : lo + chunk, index]
                     solved = np.linalg.solve(mats + np.eye(coeff.shape[-1]), dexpo * mats)
                     out[lo : lo + chunk] += np.trace(solved, axis1=-2, axis2=-1).sum(axis=1)
             except np.linalg.LinAlgError:
                 out[lo : lo + chunk] = np.inf
         return out
 
-    def _dlog_stack(self, mats: np.ndarray) -> np.ndarray:
-        """trace((I + M)^{-1} M') for a stack of M; all inf if some I + M is singular."""
-        try:
-            solved = np.linalg.solve(mats + np.eye(self.m), 1j * self.expo * mats)
-            return np.trace(solved, axis1=1, axis2=2)
-        except np.linalg.LinAlgError:
-            return np.full(len(mats), np.inf, dtype=complex)
-
     def det_dlog(self, kappa: complex) -> Tuple[complex, complex]:
         """(D(kappa), d/dkappa log D(kappa)); D may overflow deep in the strip."""
-        mats = self.matrices(np.array([kappa]))
-        sign, logabs = np.linalg.slogdet(mats[0] + np.eye(self.m))
-        dlog = 0.0j if self.trivial else complex(self._dlog_stack(mats)[0])
+        powers = self._powers(np.array([kappa], dtype=complex))
+        sign, logabs = np.linalg.slogdet(self.coeff * powers[0, self._power_index] + np.eye(self.m))
+        dlog = 0.0j if self.trivial else complex(self._dlog_sums(powers, [self._whole])[0])
         return complex(sign * np.exp(logabs)), dlog
 
     def abs_det(self, kappa: complex) -> float:
@@ -902,15 +899,20 @@ class ResolventPairing:
         return out
 
 
+def _box_solve(coin: CoinField, kappa: complex, f: WalkState, sites) -> Tuple[tuple, np.ndarray]:
+    """(edges, R(kappa) f on them) by one dense LU solve on the box of _box_system."""
+    pairs, matrix, source = _box_system(coin, f, sites)
+    return pairs, np.linalg.solve(matrix - np.exp(-1j * complex(kappa)) * np.eye(len(pairs)), source)
+
+
 def resolvent_matrix_element(coin: CoinField, kappa: complex, f: WalkState, g: WalkState) -> complex:
     """<(U - e^{-i kappa})^{-1} f, g>, continued meromorphically in kappa.
 
     One kappa is one dense solve on the box of ResolventPairing; its Schur
     form pays off only over many kappas.
     """
-    pairs, matrix, source = _box_system(coin, f, g.sites())
+    pairs, u = _box_solve(coin, kappa, f, g.sites())
     probe = np.conj([g.component(x, j) for x, j in pairs])
-    u = np.linalg.solve(matrix - np.exp(-1j * complex(kappa)) * np.eye(len(pairs)), source)
     return complex(u @ probe)
 
 
@@ -922,13 +924,10 @@ def resolvent_apply(coin: CoinField, kappa: complex, f: WalkState, radius: int) 
     rather than an l2 function.  It is solved on a box that also spans the
     window, as in ResolventPairing, and restricted to the window.
     """
-    pairs, matrix, source = _box_system(coin, f, [(-radius, -radius), (radius, radius)])
-    u = np.linalg.solve(matrix - np.exp(-1j * complex(kappa)) * np.eye(len(pairs)), source)
-    amp = {}
-    for (x, j), a in zip(pairs, u):
-        if max(abs(x[0]), abs(x[1])) <= radius:
-            amp.setdefault(x, np.zeros(4, dtype=complex))[j] = a
-    return WalkState(amp)
+    pairs, u = _box_solve(coin, kappa, f, [(-radius, -radius), (radius, radius)])
+    sites = np.array([x for x, _ in pairs], dtype=np.int64)
+    inside = np.all(np.abs(sites) <= radius, axis=1)
+    return WalkState.from_entries(sites[inside], np.array([j for _, j in pairs])[inside], u[inside])
 
 
 _PROJECTION_TOL = 1e-8

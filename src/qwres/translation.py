@@ -35,15 +35,26 @@ def translation_weight(theta: complex, site, chirality: int) -> complex:
     return complex(np.exp(1j * theta * -STEP_SIGN[chirality] * site[STEP_AXIS[chirality]]))
 
 
+def translation_weights(theta: complex, sites, chiralities) -> np.ndarray:
+    """translation_weight for each (site, chirality), to the bit; sites' last axis is (x1, x2)."""
+    j, sites = np.asarray(chiralities), np.asarray(sites)
+    along = np.where(np.array(STEP_AXIS)[j] == 0, sites[..., 0], sites[..., 1])
+    return np.exp(1j * theta * -np.array(STEP_SIGN)[j] * along)
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b rounded as complex scalars multiply; numpy's array multiply may fuse a multiply-add."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def apply_T_theta(theta: complex, u: WalkState) -> WalkState:
     """Apply the complex translation T(theta) componentwise."""
-    out = {}
-    for site, vec in u.items():
-        w = np.empty(4, dtype=complex)
-        for j in CHIRALITIES:
-            w[j] = translation_weight(theta, site, j) * vec[j]
-        out[site] = w
-    return WalkState._wrap(out)
+    weights = translation_weights(theta, u._sites[:, None, :], CHIRALITIES)
+    return WalkState._of_rows(u._sites, _product(weights, u._amps))
 
 
 def apply_U_theta(op: WalkOperator, theta: complex, u: WalkState) -> WalkState:
@@ -132,20 +143,21 @@ class OutgoingState:
     def sample(self, radius: int) -> WalkState:
         """Evaluate the state exactly on all sites with max(|x1|, |x2|) <= radius."""
         r1 = self.box_radius + 1
-        amp: Dict[tuple, np.ndarray] = {}
-        for site, vec in self.core.items():
-            amp[site] = vec.copy()
+        sites, chiralities, values = [np.zeros((0, 2), dtype=np.int64)], [], [np.zeros(0)]
         for j, tail in enumerate(self.tails):
             # Past the dilated box the ray of chirality j holds tail * e^{i kappa s t}
             # at coordinate t along its axis, s the sign of its step.
             sign = STEP_SIGN[j]
-            ts = range(-radius, -r1) if sign < 0 else range(r1 + 1, radius + 1)
+            ts = np.arange(-radius, -r1) if sign < 0 else np.arange(r1 + 1, radius + 1)
+            ray = np.exp(sign * 1j * self.kappa * ts)
             for offset, a in tail.items():
-                for t in ts:
-                    site = (t, offset) if STEP_AXIS[j] == 0 else (offset, t)
-                    vec = amp.setdefault(site, np.zeros(4, dtype=complex))
-                    vec[j] += a * np.exp(sign * 1j * self.kappa * t)
-        return WalkState(amp)
+                across = np.full_like(ts, offset)
+                sites.append(np.stack((ts, across) if STEP_AXIS[j] == 0 else (across, ts), axis=1))
+                chiralities += [j] * ts.size
+                values.append(_product(a, ray))
+        # The tails lie outside the dilated box, so they share no site with the core.
+        tails = WalkState.from_entries(np.concatenate(sites), chiralities, np.concatenate(values))
+        return self.core.plus(tails)
 
 
 @dataclass(frozen=True)
@@ -184,14 +196,12 @@ def verify_outgoing(op: WalkOperator, s: OutgoingState, window: int) -> Outgoing
         return OutgoingReport(0.0, 0.0, window, True, s.kappa)
 
     u_ext = s.sample(window + 1)
-    pushed = apply_walk(op, u_ext)
-    w = np.exp(-1j * s.kappa)
-    residual = 0.0
-    scale = 0.0
-    for x1 in range(-window, window + 1):
-        for x2 in range(-window, window + 1):
-            site = (x1, x2)
-            diff = pushed.amplitude(site) - w * u_ext.amplitude(site)
-            residual = max(residual, float(np.max(np.abs(diff))))
-            scale = max(scale, float(np.max(np.abs(u_ext.amplitude(site)))))
-    return OutgoingReport(residual, scale, window, False, s.kappa)
+    diff = apply_walk(op, u_ext).plus(u_ext.scaled(-np.exp(-1j * s.kappa)))
+    return OutgoingReport(_window_max(diff, window), _window_max(u_ext, window), window,
+                          False, s.kappa)
+
+
+def _window_max(u: WalkState, window: int) -> float:
+    """Largest modulus of u's components on max(|x1|, |x2|) <= window; NaN if one is NaN."""
+    inside = np.all((-window <= u._sites) & (u._sites <= window), axis=1)
+    return float(np.max(np.abs(u._amps[inside]), initial=0.0))

@@ -613,3 +613,75 @@ def test_steps_that_leave_64_bits_raise():
             evolve(op, WalkState.delta(site, j), 3)
     with pytest.raises(ValueError, match="64-bit"):
         apply_walk(op, WalkState.delta((top, 0), RIGHT))
+
+
+def _reference_from_entries(sites, chiralities, values):
+    """The dict-based builder that from_entries replaced, kept as its reference."""
+    amp = {}
+    for site, j, a in zip(sites, chiralities, values):
+        amp.setdefault(tuple(site), np.zeros(4, dtype=complex))[j] += a
+    return {s: a for s, a in amp.items() if np.any(a != 0)}
+
+
+def _assert_from_entries_equals_the_reference(sites, chiralities, values):
+    u = WalkState.from_entries(sites, chiralities, values)
+    reference = _reference_from_entries(sites, chiralities, values)
+    assert list(u.sites()) == list(reference)
+    assert _state_bytes(u) == _state_bytes(reference)
+    assert u.norm().hex() == _norm_by_site(reference).hex()
+
+
+# An entry is a site, a chirality and a value: a fresh random one, zero, or
+# minus the value of an earlier entry, so that entries repeat and cancel.
+ENTRY = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3),
+                  st.sampled_from(["random", "zero", "cancel"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), entries=st.lists(ENTRY, max_size=40))
+def test_from_entries_equals_the_dict_reference_to_the_bit(seed, entries):
+    rng = np.random.default_rng(seed)
+    sites, chiralities, values = [], [], []
+    for x, y, j, kind in entries:
+        if kind == "cancel" and values:
+            k = int(rng.integers(len(values)))
+            x, y, j, value = *sites[k], chiralities[k], -values[k]
+        elif kind == "zero":
+            value = 0j
+        else:
+            value = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 3)
+        sites.append((x, y))
+        chiralities.append(j)
+        values.append(value)
+    _assert_from_entries_equals_the_reference(sites, chiralities, values)
+
+
+def test_from_entries_adds_repeats_drops_cancelled_rows_and_takes_nothing():
+    # Site (1, 0) occurs first, and its two RIGHT entries are added in order.
+    sites = [(1, 0), (0, 0), (1, 0), (2, 5), (0, 0), (2, 5)]
+    chiralities = [RIGHT, UP, RIGHT, LEFT, DOWN, LEFT]
+    values = [0.1 + 0.2j, 1.0, 0.7 - 1e-17j, 2.5j, -3.0, -2.5j]
+    _assert_from_entries_equals_the_reference(sites, chiralities, values)
+    u = WalkState.from_entries(np.array(sites), np.array(chiralities), np.array(values))
+    assert list(u.sites()) == [(1, 0), (0, 0)]  # (2, 5) cancels to zero
+    assert u.component((1, 0), RIGHT) == (0.1 + 0.2j) + (0.7 - 1e-17j)
+    for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+        v = WalkState.from_entries(empty, [], [])
+        assert len(v) == 0 and v.norm() == 0.0
+
+
+@pytest.mark.parametrize("chirality", [-1, 4, 1.5, 2.0])
+def test_chirality_outside_0_to_3_is_rejected(chirality):
+    with pytest.raises(ValueError, match="chiralities"):
+        WalkState.delta((0, 0), chirality)
+    with pytest.raises(ValueError, match="chiralities"):
+        WalkState.from_entries([(0, 0), (1, 0)], [UP, chirality], [1.0, 1.0])
+
+
+def test_from_entries_rejects_bad_sites_and_unequal_lengths():
+    with pytest.raises(ValueError, match="not an integer"):
+        WalkState.from_entries([(0.5, 0)], [UP], [1.0])
+    with pytest.raises(ValueError, match="64-bit"):
+        WalkState.from_entries([(2**63, 0)], [UP], [1.0])
+    with pytest.raises(ValueError, match="2 values"):
+        WalkState.from_entries([(0, 0)], [UP], [1.0, 2.0])

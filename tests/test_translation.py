@@ -7,6 +7,8 @@ from qwres.lattice import (
     DOWN,
     LEFT,
     RIGHT,
+    STEP_AXIS,
+    STEP_SIGN,
     UP,
     CoinField,
     WalkOperator,
@@ -14,10 +16,13 @@ from qwres.lattice import (
     apply_walk,
     random_coin_field,
 )
+from qwres.shape import corner_quantization, make_corner_family
 from qwres.translation import (
     OutgoingState,
     apply_T_theta,
     apply_U_theta,
+    translation_weight,
+    translation_weights,
     verify_outgoing,
 )
 
@@ -189,3 +194,77 @@ def test_verify_outgoing_window_floor():
 def test_trivial_state_is_flagged():
     report = verify_outgoing(FREE_BOX1, OutgoingState(-0.5j, 1, WalkState({})), window=4)
     assert report.trivial
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=complex_theta, real=st.booleans(), seed=st.integers(0, 2**31),
+       span=st.sampled_from([5, 300, 2**40]))
+def test_apply_T_theta_equals_the_per_entry_weight_product_to_the_bit(theta, real, seed, span):
+    # Far sites only for a real theta, where no weight overflows.
+    theta, span = (theta.real, span) if real else (theta, min(span, 300))
+    u = random_state(seed, n_sites=8, span=span)
+    v = apply_T_theta(theta, u)
+    for site in u.sites():
+        for j in range(4):
+            want = translation_weight(theta, site, j) * u.component(site, j)
+            assert _bits(v.component(site, j)) == _bits(want)
+    sites = np.array([site for site in u.sites() for _ in range(4)])
+    chiralities = np.tile(np.arange(4), len(u))
+    weights = translation_weights(theta, sites, chiralities)
+    assert [_bits(w) for w in weights] == [
+        _bits(translation_weight(theta, site, j)) for site, j in zip(sites.tolist(), chiralities)]
+
+
+def _reference_sample(s, radius):
+    """The state on max(|x1|, |x2|) <= radius, built entry by entry from a dict."""
+    r1 = s.box_radius + 1
+    amp = {site: vec.copy() for site, vec in s.core.items()}
+    for j, tail in enumerate(s.tails):
+        sign = STEP_SIGN[j]
+        ts = range(-radius, -r1) if sign < 0 else range(r1 + 1, radius + 1)
+        for offset, a in tail.items():
+            for t in ts:
+                site = (t, offset) if STEP_AXIS[j] == 0 else (offset, t)
+                vec = amp.setdefault(site, np.zeros(4, dtype=complex))
+                vec[j] += a * np.exp(sign * 1j * s.kappa * t)
+    return amp
+
+
+@pytest.mark.parametrize("preset", ["one-corner", "two-corner", "phase-corner"])
+def test_sample_equals_the_dict_reference_to_the_bit(preset):
+    fam = make_corner_family(2, 1, 0.3, preset)
+    for mode in corner_quantization(fam).resonances():
+        for radius in (fam.box_radius, fam.box_radius + 2, fam.box_radius + 9):
+            got = mode.state.sample(radius)
+            want = _reference_sample(mode.state, radius)
+            assert [(site, vec.tobytes()) for site, vec in got.items()] == [
+                (site, vec.tobytes()) for site, vec in want.items()]
+
+
+def _first_one_corner_resonance():
+    fam = make_corner_family(1, 1, 0.3, "one-corner")
+    return fam.operator, corner_quantization(fam).resonances()[0].state
+
+
+def test_verify_outgoing_does_not_hide_a_nan_tail_coefficient():
+    op, s = _first_one_corner_resonance()
+    assert verify_outgoing(op, s, window=6).residual <= 1e-12
+    tails = [dict(t) for t in s.tails]
+    j = next(j for j, t in enumerate(tails) if t)
+    tails[j][next(iter(tails[j]))] = complex(np.nan, 0.0)
+    bad = OutgoingState(s.kappa, s.box_radius, s.core, *tails)
+    assert not verify_outgoing(op, bad, window=6).residual <= 1e-12
+
+
+def test_verify_outgoing_does_not_hide_a_nan_core_amplitude():
+    op, s = _first_one_corner_resonance()
+    amp = dict(s.core.items())
+    site = next(iter(amp))
+    amp[site] = amp[site].copy()
+    amp[site][np.flatnonzero(amp[site])[0]] = np.nan
+    bad = OutgoingState(s.kappa, s.box_radius, WalkState(amp), *s.tails)
+    assert not verify_outgoing(op, bad, window=6).residual <= 1e-12
