@@ -60,6 +60,18 @@ A root's multiplicity is certified first on a small circle, where the
 trapezoid rule converges geometrically, and by a small rectangle only if
 the 16- and 32-point sums disagree.
 
+Every walk here moves each chirality one lattice step, so a step flips the
+parity of x1 + x2, and the exponent of each nonzero entry of M has the
+parity of its row site plus its column site.  So
+M(kappa + pi) = S M(kappa) S with S = diag((-1)^{x1 + x2}), and
+D(kappa + pi) = D(kappa): zeros come in pairs kappa, kappa + pi.  A band one
+period wide is therefore half-open, [re_min, re_min + 2 pi), and counted
+on half of it: the periodic rule evaluates (log D)' on the first half of
+each line's points and reuses the values on the second, and the adaptive
+rule counts a window pi wide and doubles the count.  A root pi from one
+already certified on its own circle, with the same multiplicity, takes that
+certificate instead of drawing a circle of its own.
+
 Every winding evaluates (log D)' block by block.  The entries of M are
 fixed coefficients times powers of e^{i kappa}, so which entries vanish
 does not depend on kappa.  Ordered by the strongly connected components of
@@ -105,7 +117,7 @@ WINDING_INTEGER_TOL = 1e-3
 # matrices to solve, or the residuals of a block of resolvent kappas.
 _LEVEL_CAP = 1 << 14
 _CHUNK_ENTRIES = 1 << 16
-# Expanded rectangles winding_number tries after the requested one.
+# Perturbed rectangles winding_number tries after the first one.
 _BOUNDARY_RETRIES = 3
 
 
@@ -300,8 +312,7 @@ class DeterminantFamily:
         self.coeff = coeff
         self.trivial = not np.any(coeff)
         self._power_index = expo.astype(int)
-        # The full M as a single block, for det_dlog.
-        self._whole = (coeff[None], self._power_index[None], 1j * expo[None])
+        self._dexpo = 1j * expo
         self._top = int(expo.max()) if expo.size else 0
         self._candidates: Optional[np.ndarray] = None
         self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
@@ -355,7 +366,7 @@ class DeterminantFamily:
             for idx in _diagonal_blocks(self.coeff):
                 rows, cols = idx[:, :, None], idx[:, None, :]
                 stacks.append((self.coeff[rows, cols], self._power_index[rows, cols],
-                               1j * self.expo[rows, cols]))
+                               self._dexpo[rows, cols]))
             self._blocks = stacks
         return self._blocks
 
@@ -367,12 +378,8 @@ class DeterminantFamily:
         most _CHUNK_ENTRIES block entries; a stack in which some I + M_bb is
         singular comes back as inf throughout.
         """
-        return self._dlog_sums(self._powers(np.asarray(kappas, dtype=complex).reshape(-1)),
-                               self.blocks)
-
-    @staticmethod
-    def _dlog_sums(powers: np.ndarray, stacks) -> np.ndarray:
-        """The sum over stacks of trace((I + M_bb)^{-1} M_bb'), as in dlogs, per row of powers."""
+        powers = self._powers(np.asarray(kappas, dtype=complex).reshape(-1))
+        stacks = self.blocks
         out = np.zeros(len(powers), dtype=complex)
         if not stacks:
             return out
@@ -389,9 +396,13 @@ class DeterminantFamily:
 
     def det_dlog(self, kappa: complex) -> Tuple[complex, complex]:
         """(D(kappa), d/dkappa log D(kappa)); D may overflow deep in the strip."""
-        powers = self._powers(np.array([kappa], dtype=complex))
-        sign, logabs = np.linalg.slogdet(self.coeff * powers[0, self._power_index] + np.eye(self.m))
-        dlog = 0.0j if self.trivial else complex(self._dlog_sums(powers, [self._whole])[0])
+        mats = self.coeff * self._powers(np.array([kappa], dtype=complex))[0, self._power_index]
+        shifted = mats + np.eye(self.m)
+        sign, logabs = np.linalg.slogdet(shifted)
+        try:
+            dlog = complex(np.trace(np.linalg.solve(shifted, self._dexpo * mats)))
+        except np.linalg.LinAlgError:
+            dlog = complex(np.inf)
         return complex(sign * np.exp(logabs)), dlog
 
     def abs_det(self, kappa: complex) -> float:
@@ -551,17 +562,22 @@ def _half_cot(u: np.ndarray) -> np.ndarray:
 def _periodic_winding(fam: DeterminantFamily, rect: KappaRect) -> Optional[int]:
     """Zeros of D in a band one period wide by the periodic rule, or None if it cannot tell.
 
-    Both lines are sampled at _PERIODIC_POINTS equispaced points in one
-    batch, and every candidate's periodic pole is subtracted once.
+    Both lines are sampled at _PERIODIC_POINTS equispaced points, and every
+    candidate's periodic pole is subtracted once.  The second half of each
+    line's points lies pi from the first, where (log D)' repeats, so one
+    batch evaluates it on the first halves only.
     """
     cands = fam.candidates
     y = cands.imag
     if np.any((np.abs(y - rect.im_min) < _PERIODIC_GAP) | (np.abs(y - rect.im_max) < _PERIODIC_GAP)):
         return None
     x = rect.re_min + TWO_PI * np.arange(_PERIODIC_POINTS) / _PERIODIC_POINTS
-    kappas = np.concatenate([x + 1j * rect.im_min, x + 1j * rect.im_max])
+    # Indexed [line, half of the line, point].
+    lines = np.concatenate([x + 1j * rect.im_min, x + 1j * rect.im_max]).reshape(2, 2, -1)
+    dlogs = np.broadcast_to(fam.dlogs(lines[:, 0].reshape(-1)).reshape(2, 1, -1), lines.shape)
+    kappas = lines.reshape(-1)
     with np.errstate(invalid="ignore"):
-        values = fam.dlogs(kappas) - _half_cot(kappas[:, None] - cands).sum(axis=1)
+        values = dlogs.reshape(-1) - _half_cot(kappas[:, None] - cands).sum(axis=1)
         # Counterclockwise: the bottom line left to right, the top one back.
         bottom, top = np.split(values, 2)
         coarse = (bottom[::2] - top[::2]).sum() * (2 * TWO_PI / _PERIODIC_POINTS)
@@ -573,6 +589,24 @@ def _periodic_winding(fam: DeterminantFamily, rect: KappaRect) -> Optional[int]:
     except _EdgeTrouble:
         return None
     return turns + int(np.count_nonzero((y > rect.im_min) & (y < rect.im_max)))
+
+
+def _half_period_window(kappas: np.ndarray, band: KappaRect) -> KappaRect:
+    """A window pi wide that holds half the zeros of a band one period wide.
+
+    D(kappa + pi) = D(kappa), so [a, a + 2 pi) holds the zeros of
+    [a, a + pi) twice over, and every a gives the band's count.  a lies
+    midway in the widest gap between the candidates' real parts modulo pi,
+    so that the window's vertical edges stay clear of zeros.  (Widening the
+    band in Re instead would count a zero on its seam twice.)
+    """
+    start = band.re_min
+    if kappas.size:
+        xs = np.sort((kappas.real - band.re_min) % np.pi)
+        gaps = np.diff(xs, append=xs[0] + np.pi)
+        widest = int(np.argmax(gaps))
+        start += float(xs[widest] + gaps[widest] / 2)
+    return KappaRect(start, start + np.pi, band.im_min, band.im_max)
 
 
 def winding_number(coin: CoinField, region: KappaRect) -> int:
@@ -595,23 +629,33 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     It decides only when no candidate lies within _PERIODIC_GAP of a line,
     the 16- and 32-point sums agree to WINDING_INTEGER_TOL turns and the
     32-point sum passes the integer checks; otherwise the adaptive rule
-    above counts.
+    above counts a window pi wide (see _half_period_window) and doubles the
+    count, and a retry translates the window in Re instead of widening it.
+    Such a band holds its zeros in [re_min, re_min + 2 pi): a zero on its
+    seam is counted once.
     """
     fam = coin if isinstance(coin, DeterminantFamily) else DeterminantFamily(coin)
     if fam.trivial:
         return 0
+    delta = max(1e-8, 1e-7 * max(region.width, region.height))
+    retries = [delta * k for k in range(1, _BOUNDARY_RETRIES + 1)]
     if region.width == TWO_PI:
         count = _periodic_winding(fam, region)
         if count is not None:
             return count
-    rect = region
-    delta = max(1e-8, 1e-7 * max(region.width, region.height))
-    for attempt in range(_BOUNDARY_RETRIES + 1):
+        half = _half_period_window(fam.candidates, region)
+        # Translated in Re, the window still doubles to one whole period.
+        rects = [half] + [KappaRect(half.re_min - d, half.re_max - d, half.im_min - d, half.im_max + d)
+                          for d in retries]
+        factor = 2
+    else:
+        rects = [region] + [region.expanded(d) for d in retries]
+        factor = 1
+    for rect in rects:
         try:
-            return _winding(fam, rect, _deflation_poles(fam.candidates, rect))
+            return factor * _winding(fam, rect, _deflation_poles(fam.candidates, rect))
         except _EdgeTrouble as trouble:
             last = trouble
-            rect = region.expanded(delta * (attempt + 1))
     raise NumericalFailure(
         f"winding over {region} failed after {_BOUNDARY_RETRIES} boundary perturbations: {last}"
     )
@@ -648,11 +692,15 @@ def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
 
 
 def _copies_in(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
-    """The copies z + 2 pi k of the candidates that lie in the closed rect."""
+    """The copies z + 2 pi k of the candidates that lie in the closed rect.
+
+    A rect exactly one period wide is half-open in Re, [re_min, re_max), and
+    holds one copy of each candidate in its Im range, seam or not.
+    """
     copies = []
     for z in kappas[(kappas.imag >= rect.im_min) & (kappas.imag <= rect.im_max)]:
         first = int(np.ceil((rect.re_min - z.real) / TWO_PI))
-        last = int(np.floor((rect.re_max - z.real) / TWO_PI))
+        last = first if rect.width == TWO_PI else int(np.floor((rect.re_max - z.real) / TWO_PI))
         copies.extend(complex(z.real + TWO_PI * k, z.imag) for k in range(first, last + 1))
     return np.array(copies, dtype=complex)
 
@@ -688,12 +736,19 @@ def _deflation_poles(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
 
 
 def _group_in_region(kappas: np.ndarray, rect: KappaRect) -> List[List[complex]]:
-    """Copies of the candidates in rect, one per period, grouped by proximity."""
+    """Copies of the candidates in rect, one per period, grouped by proximity.
+
+    In a rect one period wide, copies on both sides of the seam are near
+    when they are near modulo 2 pi: such a copy joins its group moved by
+    2 pi, next to the group's first member.
+    """
+    period = rect.width == TWO_PI
     groups: List[List[complex]] = []
     for z in sorted(_copies_in(kappas, rect).tolist(), key=lambda z: (z.real, z.imag)):
         for group in groups:
-            if min(abs(z - w) for w in group) < _VERIFY_RADIUS:
-                group.append(z)
+            near = z - TWO_PI * round((z.real - group[0].real) / TWO_PI) if period else z
+            if min(abs(near - w) for w in group) < _VERIFY_RADIUS:
+                group.append(near)
                 break
         else:
             groups.append([z])
@@ -734,19 +789,41 @@ def _circle_dlog_integrals(fam: DeterminantFamily, center: complex, radius: floa
         return np.array([terms[::2].sum() * (TWO_PI / 16), terms.sum() * (TWO_PI / 32)])
 
 
-def _verify_root(fam: DeterminantFamily, z: complex, mult: int) -> bool:
+# A root z takes the certificate of a root w that its own circle certified
+# with the same multiplicity, if |Im z - Im w| and |(Re z - Re w) mod 2 pi - pi|
+# are at most _PARTNER_TOL.  D(kappa + pi) = D(kappa), so the disc of radius
+# r = _VERIFY_RADIUS around z holds as many zeros as the disc around
+# z - pi - 2 pi k, whose centre lies within sqrt(2) _PARTNER_TOL of w.  That
+# disc differs from w's only in a sliver that thin along w's circle, and a
+# zero in the sliver would have stopped w's certificate: with
+# u = ((zero - w) / r)^16, or its inverse for a zero outside the circle, it
+# moves the 16-point sum from the 32-point one by |u / (1 - u^2)| turns.  In
+# the sliver |u| > 0.9999, so the sums part by about half a turn, far more
+# than the WINDING_INTEGER_TOL they agreed to.
+_PARTNER_TOL = 1e-12
+
+
+def _verify_root(fam: DeterminantFamily, z: complex, mult: int,
+                 circled: Optional[List[Tuple[complex, int]]] = None) -> bool:
     """Whether D has exactly mult zeros around z, counted with multiplicity.
 
     The circle of radius _VERIFY_RADIUS decides if its 16- and 32-point
     sums agree to WINDING_INTEGER_TOL turns (so a sum that is not finite
     never decides) and the 32-point sum passes the winding checks with
     mult turns.  Otherwise the plain winding around a square decides, on
-    up to three growing squares.
+    up to three growing squares.  circled, if given, collects the roots a
+    circle certified, as (z, mult); a root pi from one of them with the same
+    multiplicity (see _PARTNER_TOL) takes its certificate and draws none.
     """
+    circled = [] if circled is None else circled
+    if any(m == mult and abs(z.imag - w.imag) <= _PARTNER_TOL
+           and abs((z.real - w.real) % TWO_PI - np.pi) <= _PARTNER_TOL for w, m in circled):
+        return True
     coarse, fine = _circle_dlog_integrals(fam, z, _VERIFY_RADIUS)
     if abs(coarse - fine) <= TWO_PI * WINDING_INTEGER_TOL:
         try:
             if _integer_turns(fine, f"the circle around {z}") == mult:
+                circled.append((z, mult))
                 return True
         except _EdgeTrouble:
             pass
@@ -768,8 +845,11 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
     to the override box; each group of coinciding candidates is refined by
     Newton and accepted only once a small verification contour confirms its
     multiplicity, and the multiplicities must add up to the winding of D
-    around the region.  Anything that cannot be certified raises
-    NumericalFailure instead of degrading the answer silently.
+    around the region.  A root pi from one already certified on its circle
+    takes that certificate (see _PARTNER_TOL).  A region exactly one period
+    wide holds its zeros in [re_min, re_min + 2 pi), a zero on its seam
+    once.  Anything that cannot be certified raises NumericalFailure instead
+    of degrading the answer silently.
     """
     fam = DeterminantFamily(coin) if not isinstance(coin, DeterminantFamily) else coin
     normalize = region is None
@@ -778,10 +858,11 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
         return []
 
     roots: List[Root] = []
+    circled: List[Tuple[complex, int]] = []
     for group in _group_in_region(fam.candidates, rect):
         mult = len(group)
         z = _newton_root(fam, complex(np.mean(group)), mult)
-        if z is None or not _verify_root(fam, z, mult):
+        if z is None or not _verify_root(fam, z, mult, circled):
             raise NumericalFailure(
                 f"could not certify a zero of multiplicity {mult} near {group[0]}"
             )

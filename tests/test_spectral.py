@@ -7,7 +7,7 @@ import scipy.sparse.csgraph
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qwres import BarrierSpec, make_corner_family, make_shape_family, spectral
+from qwres import BarrierSpec, build_nonpenetrable, make_corner_family, make_shape_family, spectral
 from qwres.elastic import random_permutation_coin
 from qwres.lattice import (
     CHIRALITIES,
@@ -339,6 +339,26 @@ def test_corner_blocks_are_its_two_circulations():
         assert [coeff.shape for coeff, _, _ in fam.blocks] == [(2, 4, 4)]
 
 
+PARITY_FIELDS = TABLE_FIELDS + [lambda: build_nonpenetrable(BarrierSpec(1)).coin]
+
+
+def assert_half_period_parity(fam):
+    # Each step flips the parity of x1 + x2, so an entry's exponent has the
+    # parity of its row site plus its column site: M(kappa + pi) = S M S.
+    parity = np.array([(x1 + x2) % 2 for (x1, x2), _ in fam.pairs], dtype=int)
+    kept = fam.coeff != 0
+    assert np.all(fam.expo[~kept] == 0)
+    expected = (parity[:, None] + parity[None, :]) % 2
+    assert np.array_equal(fam.expo.astype(int)[kept] % 2, expected[kept])
+
+
+@pytest.mark.parametrize("build", PARITY_FIELDS, ids=[
+    *(f"corner-{p}" for p in CORNER_PRESETS), "closed-1x3", "shape-1", "shape-2",
+    "random-0", "random-1", "random-2", "elastic-r2", "identity", "barrier-1"])
+def test_exponents_have_the_parity_of_their_sites(build):
+    assert_half_period_parity(DeterminantFamily(build()))
+
+
 def sampled_field(radius, seed, density, kind):
     """A seeded field of Haar unitaries or permutation coins, each site kept with probability density."""
     rng = np.random.default_rng(seed)
@@ -378,6 +398,37 @@ def test_block_dlogs_match_the_full_matrix(radius, seed, density, kind, points):
     fam = DeterminantFamily(sampled_field(radius, seed, density, kind))
     full = np.array([fam.det_dlog(kappa)[1] for kappa in kappas])
     np.testing.assert_allclose(fam.dlogs(kappas), full, rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    radius=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+    density=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+    kind=st.sampled_from(["unitary", "permutation", "permutation with phases"]),
+)
+def test_sampled_fields_have_the_half_period_parity(radius, seed, density, kind):
+    assert_half_period_parity(DeterminantFamily(sampled_field(radius, seed, density, kind)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    radius=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    density=st.sampled_from([0.3, 0.6, 1.0]),
+    kind=st.sampled_from(["unitary", "permutation", "permutation with phases"]),
+    points=st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(-0.6, 1.0)), min_size=1, max_size=8),
+)
+def test_dlogs_repeat_after_half_a_period(radius, seed, density, kind, points):
+    # D(kappa + pi) = D(kappa), so (log D)' repeats too; compared where
+    # I + M is well conditioned, as the rounding of the two evaluations
+    # differs.
+    fam = DeterminantFamily(sampled_field(radius, seed, density, kind))
+    assume(fam.m > 0)
+    kappas = np.array([complex(re, im) for re, im in points])
+    shifted = fam.matrices(kappas) + np.eye(fam.m)
+    kappas = kappas[np.linalg.cond(shifted) < 1e6]
+    np.testing.assert_allclose(fam.dlogs(kappas + np.pi), fam.dlogs(kappas), rtol=1e-10, atol=1e-10)
 
 
 def test_dlogs_is_inf_throughout_a_singular_chunk(monkeypatch):
@@ -778,15 +829,130 @@ def dlogs_batches(monkeypatch):
 def test_above_axis_winding_is_one_periodic_batch(monkeypatch):
     sizes = dlogs_batches(monkeypatch)
     assert winding_number(random_coin_field(1, seed=2), ABOVE_AXIS) == 0
-    assert sizes == [64]
+    assert sizes == [32]
 
 
 def test_strip_next_to_eigenvalues_falls_back_to_the_adaptive_rule(monkeypatch):
     # The strip's top line passes 1e-6 above the axis eigenvalues, inside
-    # the guard, so locate_roots winds it adaptively, on the same points.
+    # the guard, so locate_roots winds it adaptively, on a window pi wide:
+    # 344 points, and 8 circles of 32 for the 16 roots (1,056 points when
+    # the whole strip and every root's circle were evaluated).
     sizes = dlogs_batches(monkeypatch)
     assert len(locate_roots(make_corner_family(2, 2, 0.2, "one-corner").coin)) == 16
-    assert sum(sizes) == 1056
+    assert sum(sizes) == 600
+
+
+HALF_WINDOW_FIELDS = (
+    [(f"{p} {m0}x{n0} eps {eps}", lambda p=p, m0=m0, n0=n0, eps=eps:
+      make_corner_family(m0, n0, eps, p).coin, 2.0)
+     for p in CORNER_PRESETS for m0, n0, eps in ((1, 1, 0.3), (2, 2, 0.2))]
+    + [(f"r1 seed {s}", lambda s=s: random_coin_field(1, s), 0.5) for s in range(6)]
+)
+
+
+@pytest.mark.parametrize("name, build, depth", HALF_WINDOW_FIELDS,
+                         ids=[name for name, _, _ in HALF_WINDOW_FIELDS])
+def test_half_period_window_counts_half_the_band(name, build, depth):
+    # D(kappa + pi) = D(kappa): twice the deflated winding of the window pi
+    # wide is the deflated winding of the whole band, and the candidates'
+    # count of it.
+    fam = DeterminantFamily(build())
+    band = KappaRect(spectral.STRIP_SHIFT, spectral.STRIP_SHIFT + 2 * np.pi, -depth,
+                     spectral.STRIP_IM_MAX)
+    half = spectral._half_period_window(fam.candidates, band)
+    assert half.width == pytest.approx(np.pi, abs=1e-15)
+    assert (half.im_min, half.im_max) == (band.im_min, band.im_max)
+    full = spectral._winding(fam, band, spectral._deflation_poles(fam.candidates, band))
+    assert 2 * spectral._winding(fam, half, spectral._deflation_poles(fam.candidates, half)) == full
+    assert full == spectral._copies_in(fam.candidates, band).size
+
+
+def circular_distances(a, b):
+    """|a_i - b_j| with the real parts compared modulo 2 pi."""
+    offset = np.subtract.outer(np.asarray(a), np.asarray(b))
+    return np.abs((offset.real + np.pi) % (2 * np.pi) - np.pi + 1j * offset.imag)
+
+
+@pytest.mark.parametrize("preset", ["one-corner", "phase-corner"])
+def test_a_full_period_region_holds_a_zero_on_its_seam_once(preset):
+    # The region's vertical edges run through the eigenvalue at 0 and, for
+    # one-corner, the resonance below it.  Half-open in Re, it holds the
+    # default strip's 8 zeros, each once.
+    fam = DeterminantFamily(make_corner_family(1, 1, 0.2, preset).coin)
+    seam = KappaRect(0.0, 2 * np.pi, spectral.STRIP_IM_MIN, spectral.STRIP_IM_MAX)
+    strip = locate_roots(fam)
+    assert len(strip) == 8
+    assert winding_number(fam, seam) == 8
+    roots = locate_roots(fam, seam)
+    assert [r.multiplicity for r in roots] == [1] * 8
+    close = circular_distances([r.kappa for r in roots], [r.kappa for r in strip]) <= 1e-9
+    assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
+
+
+def test_a_cluster_split_by_the_seam_is_one_group(monkeypatch):
+    # The closed loop's double zero at 0, with its two candidates moved
+    # 1e-9 to either side of the seam: one group of two, not two of one.
+    full = spectral._zero_candidates
+
+    def split(fam):
+        kappas = full(fam).copy()
+        at_zero = np.flatnonzero(np.abs(kappas) < 1e-12)
+        assert at_zero.size == 2
+        kappas[at_zero] = [-1e-9, 1e-9]
+        return kappas
+
+    monkeypatch.setattr(spectral, "_zero_candidates", split)
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.0)))
+    seam = KappaRect(0.0, 2 * np.pi, spectral.STRIP_IM_MIN, spectral.STRIP_IM_MAX)
+    assert [len(group) for group in spectral._group_in_region(fam.candidates, seam)] == [2] * 4
+    roots = locate_roots(fam, seam)
+    assert [r.multiplicity for r in roots] == [2] * 4
+    assert np.all(circular_distances([r.kappa for r in roots], np.pi / 2 * np.arange(4)).min(axis=1)
+                  <= 1e-8)
+
+
+def circle_centres(monkeypatch):
+    """The centres of the verification circles drawn from now on."""
+    circle = spectral._circle_dlog_integrals
+    centres = []
+
+    def spy(fam, center, radius):
+        centres.append(center)
+        return circle(fam, center, radius)
+
+    monkeypatch.setattr(spectral, "_circle_dlog_integrals", spy)
+    return centres
+
+
+def test_a_root_pi_from_a_certified_one_draws_no_circle(monkeypatch):
+    # The 16 roots come in 8 pairs kappa, kappa + pi; the second of each
+    # pair takes the first's certificate.
+    centres = circle_centres(monkeypatch)
+    roots = locate_roots(make_corner_family(2, 2, 0.2, "one-corner").coin)
+    assert len(roots) == 16
+    assert len(centres) == 8
+    assert max(np.real(centres)) < np.pi
+
+
+def test_a_partner_of_another_multiplicity_draws_its_own_circle(monkeypatch):
+    # The eigenvalue at pi is pi from the one at 0.  Given two candidates,
+    # its group claims multiplicity 2 where its partner has 1, so it must be
+    # certified on its own circle, and that certificate fails.
+    fam = DeterminantFamily(CoinField(1, one_corner_coins(0.6)))
+    centres = circle_centres(monkeypatch)
+    assert len(locate_roots(fam)) == 8
+    assert len(centres) == 4 and min(circular_distances([np.pi], centres)[0]) > 1.0
+    grouped = spectral._group_in_region
+
+    def doubled(kappas, rect):
+        groups = grouped(kappas, rect)
+        return [group * 2 if abs(group[0] - np.pi) < 1e-9 else group for group in groups]
+
+    monkeypatch.setattr(spectral, "_group_in_region", doubled)
+    centres.clear()
+    with pytest.raises(NumericalFailure, match=r"multiplicity 2 near \(3\.14159"):
+        locate_roots(fam)
+    assert abs(centres[-1] - np.pi) < 1e-9
 
 
 def companion_kappas(fam):
