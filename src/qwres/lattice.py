@@ -379,6 +379,9 @@ def ray_meets_box(site: Site, chirality: int, box_radius: int) -> bool:
 
 # Steps of window outflow gathered before their nonzero exits are kept.
 _BANK_ROWS = 1024
+# Steps between two looks, inside a block, for a window that repeats one of
+# the last _REPEAT_STRIDE; longer periods are seen at the block's end.
+_REPEAT_STRIDE = 64
 
 
 def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
@@ -400,12 +403,13 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     down, up and along each side, 4n of them for the window's side
     n = 2 M0 + 3).  Each full block of _BANK_ROWS rows keeps only its
     nonzero exits, so the bank holds what actually left the window.  When,
-    after the last amplitude moved in, a block ends on a window equal bit
-    for bit to an earlier one of the block, the steps between them repeat
-    for ever, and the rest of the bank is copied from them.  A walk that
-    decays does this in subnormal numbers: over 10^4 steps, criterion 04's
-    five fields are found to repeat with periods of 8 to 40 steps at the
-    block ends 4,095 to 8,191.
+    after the last amplitude moved in, a window equals an earlier one of
+    its block bit for bit, the steps between them repeat for ever, and the
+    rest of the bank is copied from them.  Every _REPEAT_STRIDE steps the
+    window is compared with the _REPEAT_STRIDE before it, and at a block's
+    end with the whole block.  A walk that decays repeats in subnormal
+    numbers: over 10^4 steps, criterion 04's five fields are found to
+    repeat with periods of 8 to 40 steps at steps 4,095 to 7,231.
 
     The result lists the window's sites, then the sites of amplitude still
     moving in, then the free-flight targets of what was banked at t = 0 and
@@ -498,18 +502,24 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
         if step in entering:
             idx, amps = entering[step]
             block[row, idx] += amps
-        if row == _BANK_ROWS - 1 or step == t - 1:
-            # The block's exits, nonzero entries only, in the row-major order
-            # of one (t, width) array.
-            filled = block[: row + 1, size:].ravel()
-            flat = np.flatnonzero(filled)
-            bank_flat.append(flat + (step - row) * width)
-            bank_amps.append(filled[flat])
+        end = row == _BANK_ROWS - 1 or step == t - 1
+        if end or (row % _REPEAT_STRIDE == _REPEAT_STRIDE - 1 and step > last_entry):
             # Once nothing more moves in, each window is a fixed function of
             # the one before, so a repeated window repeats the p steps since
             # its earlier copy, exits included, for the rest of the time.
-            repeat = np.flatnonzero(np.all(window_bits[:row] == window_bits[row], axis=1))
+            # Within a block only the last _REPEAT_STRIDE windows are
+            # compared; the block's end compares them all.
+            since = 0 if end else max(0, row - _REPEAT_STRIDE)
+            repeat = since + np.flatnonzero(
+                np.all(window_bits[since:row] == window_bits[row], axis=1))
             repeat = repeat[step - row + repeat >= last_entry]
+            if end or repeat.size:
+                # The block's exits, nonzero entries only, in the row-major
+                # order of one (t, width) array.
+                filled = block[: row + 1, size:].ravel()
+                flat = np.flatnonzero(filled)
+                bank_flat.append(flat + (step - row) * width)
+                bank_amps.append(filled[flat])
             if repeat.size:
                 p = row - repeat[-1]
                 period = block[row - p + 1 : row + 1, size:].ravel()

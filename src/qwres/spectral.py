@@ -7,7 +7,8 @@ linear system with the walk compressed to the box's edges, rational in
 e^{-i kappa} and so continued to all kappa.  A single kappa is one dense
 solve; the many kappas of a Riesz projection's loop share one complex Schur
 form of the compressed walk, and each costs one triangular back
-substitution.  Only the determinant comes
+substitution over the Schur steps that join f to the probe.  Only the
+determinant comes
 from the override block, where the one-sided free kernels give a matrix of
 size 4 * (number of overridden sites).  The characteristic determinant
 
@@ -89,7 +90,7 @@ of the full matrix, to the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -884,6 +885,12 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
             if re >= TWO_PI - 1e-12:
                 re = 0.0
             kappa = complex(re, kappa.imag)
+        elif rect.width == TWO_PI and not rect.re_min <= kappa.real < rect.re_max:
+            # A copy next to the seam can round onto re_max, or Newton can
+            # cross it: report the zero in [re_min, re_max), and measure
+            # the residual there.
+            re = rect.re_min + (kappa.real - rect.re_min) % TWO_PI
+            kappa = complex(re if re < rect.re_max else rect.re_min, kappa.imag)
         residual = fam.abs_det(kappa)
         if residual > ROOT_RESIDUAL_TOL:
             # |D|/|D'| = 1/|(log D)'| is how far Newton's next step would go.
@@ -931,6 +938,26 @@ def _box_system(coin: CoinField, f: WalkState, sites) -> Tuple[tuple, np.ndarray
     return pairs, compress_walk(coin, pairs)[0], source
 
 
+def _joining_steps(t: np.ndarray, source: np.ndarray, weights: np.ndarray) -> List[int]:
+    """The Schur indices whose back-substitution step can move <u, g>, descending.
+
+    Step k solves x_k = (source_k - sum_{j > k} t_kj x_j) / (t_kk - w) and
+    adds weights_k x_k to the sum.  x_k is an exact zero unless source_k is
+    nonzero or k reaches such an index j > k through nonzero entries t_kj;
+    and x_k reaches the sum only if weights_k is nonzero or an index i < k
+    with that property reaches k through nonzero entries t_ik.  An index
+    missing either link adds nothing but products with an exact zero.
+    """
+    links = np.triu(t != 0, 1)
+    fed = source != 0
+    for k in range(len(t) - 1, -1, -1):
+        fed[k] |= np.any(links[k, k + 1 :] & fed[k + 1 :])
+    read = weights != 0
+    for k in range(len(t)):
+        read[k] |= np.any(links[:k, k] & read[:k])
+    return np.flatnonzero(fed & read)[::-1].tolist()
+
+
 class ResolventPairing:
     """Batched evaluator of <R(kappa) f, g> for one coin field and one (f, g).
 
@@ -946,7 +973,12 @@ class ResolventPairing:
     A is reduced once to its complex Schur form A = Z T Z*, so each kappa
     costs one triangular back substitution (T - w) x = Z* f with
     w = e^{-i kappa}, and <u, g> = (Z^T conj g) . x (Laub's frequency-response
-    method, IEEE TAC 26, 1981).
+    method, IEEE TAC 26, 1981).  The box walk is reducible, so T, Z* f and
+    Z^T conj g hold exact zeros, and only the steps that join f to g (see
+    _joining_steps) are taken: on the sealed barrier of shape M0 1 with
+    f = g = delta((0, 0), LEFT), 4 of 24.  The restriction is made in the
+    Schur basis; cutting the box walk down first would change its Schur
+    form.
     """
 
     def __init__(self, coin: CoinField, f: WalkState, g: WalkState):
@@ -955,27 +987,38 @@ class ResolventPairing:
         self.triangle, z = scipy.linalg.schur(matrix, output="complex")
         self.source = z.conj().T @ source
         self.weights = z.T @ probe
+        self.steps = _joining_steps(self.triangle, self.source, self.weights)
 
-    def values(self, kappas: Iterable[complex]) -> np.ndarray:
-        """<R(kappa) f, g> for a batch of kappas, in blocks of at most _CHUNK_ENTRIES entries.
+    def values(self, kappas) -> np.ndarray:
+        """<R(kappa) f, g> for an array of kappas, in blocks of at most _CHUNK_ENTRIES entries.
 
         Every step acts on each kappa's column by itself, so a kappa's value
-        does not depend on the batch it comes in, to the last bit.  At a
-        pole the value is inf or nan.
+        does not depend on the batch it comes in, to the last bit.  A step
+        left out would only have added products with an exact zero, and the
+        rows a step updates are updated as by the full back substitution,
+        so every value is that of the full back substitution to the bit.  At
+        a pole the value is inf or nan.  The one exception is
+        an eigenvalue t_kk of a step left out: there the full substitution
+        gives nan (0 / 0, or 0 times inf), and this gives the finite limit.
         """
-        kappas = np.asarray(list(kappas), dtype=complex)
+        kappas = np.ascontiguousarray(kappas, dtype=complex)
         out = np.zeros(len(kappas), dtype=complex)
         t = self.triangle
-        n = len(t)
-        chunk = max(1, _CHUNK_ENTRIES // max(1, n))
+        chunk = max(1, _CHUNK_ENTRIES // max(1, len(t)))
         with np.errstate(divide="ignore", invalid="ignore"):
             for lo in range(0, len(kappas), chunk):
                 w = np.exp(-1j * kappas[lo : lo + chunk])
                 r = np.repeat(self.source[:, None], len(w), axis=1)
                 acc = out[lo : lo + chunk]  # a view: the sums land in out
-                for k in range(n - 1, -1, -1):
+                # No step taken reads a row below the lowest one.  In a batch
+                # each row of the update is its own loop over the kappas, so
+                # those rows are left out.  For one kappa the loop runs over
+                # the rows, and leaving rows out moves the others within it,
+                # which changes the rounding of a few values: all are kept.
+                top = self.steps[-1] if self.steps and len(w) > 1 else 0
+                for k in self.steps:
                     x = r[k] / (t[k, k] - w)
-                    r[:k] -= t[:k, k, None] * x
+                    r[top:k] -= t[top:k, k, None] * x
                     acc += self.weights[k] * x
         return out
 

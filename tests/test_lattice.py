@@ -516,7 +516,8 @@ def test_evolve_equals_the_dict_reference_to_the_bit(t, m0, seed, density, drawn
 
 def test_evolve_equals_the_dict_reference_on_criterion_04_field_3():
     # Criterion 04's first field and state: 10^4 steps, 93,705 sites.  From
-    # step 7,167 on, the window repeats every 40 steps in subnormal numbers.
+    # step 6,410 on, the window repeats every 40 steps in subnormal numbers,
+    # and evolve copies it from step 6,463 on.
     coin = random_coin_field(1, 3)
     rng = np.random.default_rng(4)
     amp = {(x1, x2): rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -540,6 +541,35 @@ def test_evolve_copies_a_repeating_window_to_the_bit(monkeypatch):
     for t in range(130):
         assert _state_bytes(evolve(WalkOperator(coin), u, t)) == _state_bytes(
             _reference_evolve(coin, dict(u.items()), t)), t
+
+
+def _evolve_counting_steps(monkeypatch, coin, u, t):
+    """evolve(coin, u, t) and the number of walk steps it took (one einsum each)."""
+    einsum, steps = np.einsum, []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return einsum(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", counted)
+        return evolve(WalkOperator(coin), u, t), len(steps)
+
+
+@pytest.mark.parametrize("stride, taken", [(lattice._REPEAT_STRIDE, 64), (4, None)])
+def test_evolve_sees_a_short_period_in_the_middle_of_a_block(monkeypatch, stride, taken):
+    # The loop of 8 steps repeats once the right mover has crossed the window
+    # (step 36).  Every 64 steps the window is compared with the 64 before,
+    # so the repeat is seen at step 63 of the first block of 1,024; compared
+    # with only 4, the period of 8 waits for the block's end or for t.
+    monkeypatch.setattr(lattice, "_REPEAT_STRIDE", stride)
+    coin = CoinField(2, corner_coins(2, 2))
+    u = WalkState.delta((0, 0), LEFT).plus(WalkState.delta((-40, 1), RIGHT, 0.5j))
+    for t in (40, 100, 1000, 1500):
+        reference = _reference_evolve(coin, dict(u.items()), t)
+        fast, steps = _evolve_counting_steps(monkeypatch, coin, u, t)
+        assert _state_bytes(fast) == _state_bytes(reference), t
+        assert steps == min(t, taken or lattice._BANK_ROWS), t
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -889,6 +889,24 @@ def test_a_full_period_region_holds_a_zero_on_its_seam_once(preset):
     assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
 
 
+@pytest.mark.parametrize("re_min", [0.0, 1.0, -np.pi])
+@pytest.mark.parametrize("preset", CORNER_PRESETS)
+def test_a_full_period_region_reports_its_zeros_inside(preset, re_min):
+    # Phase-corner's candidate at -3.35e-18 has its copy at -3.35e-18 + 2 pi,
+    # which rounds to 2 pi: the region [0, 2 pi) must still report it at 0.
+    fam = DeterminantFamily(make_corner_family(1, 1, 0.2, preset).coin)
+    region = KappaRect(re_min, re_min + 2 * np.pi, spectral.STRIP_IM_MIN, spectral.STRIP_IM_MAX)
+    assert region.width == 2 * np.pi
+    strip = locate_roots(fam)
+    roots = locate_roots(fam, region)
+    assert sum(r.multiplicity for r in roots) == sum(r.multiplicity for r in strip)
+    for root in roots:
+        assert region.re_min <= root.kappa.real < region.re_max, root
+        assert root.residual == fam.abs_det(root.kappa) <= spectral.ROOT_RESIDUAL_TOL
+    close = circular_distances([r.kappa for r in roots], [r.kappa for r in strip]) <= 1e-9
+    assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
+
+
 def test_a_cluster_split_by_the_seam_is_one_group(monkeypatch):
     # The closed loop's double zero at 0, with its two candidates moved
     # 1e-9 to either side of the seam: one group of two, not two of one.
@@ -986,10 +1004,13 @@ TWO_ENGINE_FIELDS = (
 @pytest.mark.parametrize("name, build, depth", TWO_ENGINE_FIELDS,
                          ids=[name for name, _, _ in TWO_ENGINE_FIELDS])
 def test_locate_roots_agrees_with_the_companion(name, build, depth):
+    assert_roots_match_the_companion(DeterminantFamily(build()), depth, 1e-8)
+
+
+def assert_roots_match_the_companion(fam, depth, tol):
     # Two engines: locate_roots takes its candidates from the box walk, the
     # companion from the kernel coefficients.  Zeros within 1e-6 of the
     # bottom edge are left out on both sides, where either may fall outside.
-    fam = DeterminantFamily(build())
     region = KappaRect(spectral.STRIP_SHIFT, spectral.STRIP_SHIFT + 2 * np.pi, -depth,
                        spectral.STRIP_IM_MAX)
     zeros = companion_kappas(fam)
@@ -1002,8 +1023,16 @@ def test_locate_roots_agrees_with_the_companion(name, build, depth):
         offset = zeros - root.kappa
         dist = np.abs((offset.real + np.pi) % (2 * np.pi) - np.pi + 1j * offset.imag)
         nearest = np.argsort(np.where(free, dist, np.inf), kind="stable")[: root.multiplicity]
-        assert dist[nearest].max() <= 1e-8, (root, zeros[nearest])
+        assert dist[nearest].max() <= tol, (root, zeros[nearest])
         free[nearest] = False
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.2, 1.0))
+def test_sampled_root_sets_agree_with_the_companion(seed, density):
+    fam = DeterminantFamily(random_coin_field(1, seed, density=density))
+    assume(not fam.trivial)
+    assert_roots_match_the_companion(fam, 0.5, 1e-6)
 
 
 def test_locate_roots_evaluates_few_points(monkeypatch):
@@ -1267,6 +1296,102 @@ def test_both_resolvent_engines_match_a_40_digit_solve():
     for value in (ResolventPairing(coin, f, g).values([kappa])[0],
                   resolvent_matrix_element(coin, kappa, f, g)):
         assert abs(value - exact) <= 1e-11 * abs(exact)
+
+
+def _reference_values(pairing, kappas):
+    """<R f, g> by the back substitution over every Schur step."""
+    kappas = np.asarray(list(kappas), dtype=complex)
+    out = np.zeros(len(kappas), dtype=complex)
+    t = pairing.triangle
+    n = len(t)
+    chunk = max(1, spectral._CHUNK_ENTRIES // max(1, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(kappas), chunk):
+            w = np.exp(-1j * kappas[lo : lo + chunk])
+            r = np.repeat(pairing.source[:, None], len(w), axis=1)
+            acc = out[lo : lo + chunk]
+            for k in range(n - 1, -1, -1):
+                x = r[k] / (t[k, k] - w)
+                r[:k] -= t[:k, k, None] * x
+                acc += pairing.weights[k] * x
+    return out
+
+
+def assert_same_bits(values, reference):
+    assert values.dtype == reference.dtype and values.shape == reference.shape
+    differ = np.flatnonzero(np.any(np.ascontiguousarray(values).view(np.int64).reshape(-1, 2)
+                                   != np.ascontiguousarray(reference).view(np.int64).reshape(-1, 2),
+                                   axis=1))
+    assert differ.size == 0, (differ[:5], values[differ[:5]], reference[differ[:5]])
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("name", list(ENGINE_COINS))
+def test_joining_steps_keep_every_bit(name, seed):
+    # Batched, in small batches and one point at a time: the steps and the
+    # rows left out change no bit.
+    coin = ENGINE_COINS[name](seed)
+    rng = np.random.default_rng(seed)
+    f = random_state(int(rng.integers(2**31)), span=3)
+    g = random_state(int(rng.integers(2**31)), span=3)
+    kappas = rng.uniform(0.0, 2 * np.pi, 100) + 1j * rng.uniform(-1.5, 1.0, 100)
+    pairing = ResolventPairing(coin, f, g)
+    assert len(pairing.steps) < len(pairing.triangle)
+    reference = _reference_values(pairing, kappas)
+    assert_same_bits(pairing.values(kappas), reference)
+    for size in (1, 2, 3, 7):
+        assert_same_bits(np.concatenate([pairing.values(kappas[i : i + size])
+                                         for i in range(0, 100, size)]), reference)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.15])
+def test_joining_steps_keep_every_bit_on_the_migration_loops(eps):
+    # The projection_difference case of the migration benchmark: shape M0 1
+    # opened at eps and 0.45 - eps, each with its sealed member.  Per member,
+    # the 4 x 4,097 points of the loop's level 4,096, batched by edge as
+    # projection_element takes them, and every 64th point one at a time.
+    fam = make_shape_family(BarrierSpec(1), eps)
+    corners = KappaRect.for_scale(np.pi / 2, eps).corners()
+    probe = WalkState.delta((0, 0), LEFT)
+    ts = np.linspace(0.0, 1.0, 4097)
+    for coin in (fam.coin, fam.base.coin):
+        pairing = ResolventPairing(coin, probe, probe)
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            zs = a + (b - a) * ts
+            reference = _reference_values(pairing, zs)
+            assert_same_bits(pairing.values(zs), reference)
+            assert_same_bits(np.concatenate([pairing.values(zs[i : i + 1])
+                                             for i in range(0, 4097, 64)]), reference[::64])
+
+
+def test_joining_steps_on_the_barrier():
+    # f = g = delta((0, 0), LEFT) on shape M0 1: the open member joins them
+    # through 8 to 16 of its 24 Schur steps, the sealed member through 4.
+    probe = WalkState.delta((0, 0), LEFT)
+    kept = {}
+    for eps in (0.05, 0.1, 0.2, 0.25, 0.4):
+        fam = make_shape_family(BarrierSpec(1), eps)
+        opened, sealed = (ResolventPairing(c, probe, probe) for c in (fam.coin, fam.base.coin))
+        assert len(opened.triangle) == len(sealed.triangle) == 24
+        assert len(sealed.steps) == 4
+        assert opened.steps == sorted(opened.steps, reverse=True)
+        kept[eps] = len(opened.steps)
+    assert kept == {0.05: 8, 0.1: 12, 0.2: 12, 0.25: 16, 0.4: 12}
+
+
+def test_joining_steps_follow_the_links_of_the_triangle():
+    # source reaches step 2 only, weights read step 0 only; t links 2 -> 1 -> 0
+    # and step 3 hangs off both ends.
+    t = np.diag([0.5, 0.6, 0.7, 0.8]).astype(complex)
+    t[1, 2] = t[0, 1] = 1.0
+    t[0, 3] = 1.0
+    source = np.array([0, 0, 1, 0], dtype=complex)
+    weights = np.array([1, 0, 0, 0], dtype=complex)
+    assert spectral._joining_steps(t, source, weights) == [2, 1, 0]
+    assert spectral._joining_steps(t, source, weights[::-1]) == []
+    t[1, 2] = 0.0
+    assert spectral._joining_steps(t, source, weights) == []
+    assert spectral._joining_steps(t, source + 1, weights) == [3, 1, 0]
 
 
 # ---------------------------------------------------------------------------
