@@ -62,13 +62,11 @@ from .shape import (
     migration_scan,
 )
 from .spectral import (
-    STRIP_IM_MAX,
     STRIP_IM_MIN,
-    STRIP_SHIFT,
     TWO_PI,
     DeterminantFamily,
-    KappaRect,
     NumericalFailure,
+    default_strip,
     locate_roots,
     root_reported_at,
 )
@@ -362,10 +360,7 @@ def _run_elastic_spec(cfg):
 
 def _run_resonances(cfg):
     fam = DeterminantFamily(_model_coin_field(cfg))
-    if cfg["strip_depth"] is None:
-        region = None
-    else:
-        region = KappaRect(STRIP_SHIFT, STRIP_SHIFT + TWO_PI, -cfg["strip_depth"], STRIP_IM_MAX)
+    region = None if cfg["strip_depth"] is None else default_strip(-cfg["strip_depth"])
     roots = [
         root_reported_at(r, fam, complex(r.kappa.real % TWO_PI, r.kappa.imag))
         for r in locate_roots(fam, region=region)

@@ -46,7 +46,8 @@ one seeds 8: the remainder is smooth on the scale of a small loop, and
 adaptive refinement still finds any unmatched pole.  Long edges get more
 panels from the highest frequency of M either way.
 
-A rectangle exactly one period wide is first counted by the periodic
+A band one period wide, built as KappaRect(a, a + 2 pi, ...) so that
+KappaRect.periodic holds exactly, is first counted by the periodic
 trapezoid rule.  D is 2 pi periodic, so the vertical edges cancel and only
 the two horizontal lines remain.  Since D = prod_k (1 - e^{i (kappa - c_k)})
 over the candidates c_k, each exact candidate leaves (log D)' minus its
@@ -179,6 +180,11 @@ class KappaRect:
     def height(self) -> float:
         return self.im_max - self.im_min
 
+    @property
+    def periodic(self) -> bool:
+        """One period [re_min, re_max), half-open: exact for KappaRect(a, a + TWO_PI, ...)."""
+        return self.re_max == self.re_min + TWO_PI
+
     def corners(self) -> Tuple[complex, complex, complex, complex]:
         """Counterclockwise from the bottom-left corner."""
         return (
@@ -219,8 +225,8 @@ class KappaRect:
         return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
 
 
-def default_strip() -> KappaRect:
-    return KappaRect(STRIP_SHIFT, STRIP_SHIFT + TWO_PI, STRIP_IM_MIN, STRIP_IM_MAX)
+def default_strip(im_min: float = STRIP_IM_MIN) -> KappaRect:
+    return KappaRect(STRIP_SHIFT, STRIP_SHIFT + TWO_PI, im_min, STRIP_IM_MAX)
 
 
 @dataclass(frozen=True)
@@ -623,8 +629,8 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     level budget, the rectangle is expanded by a tiny amount and retried;
     persistent trouble raises NumericalFailure.
 
-    A rectangle exactly one period wide (width == TWO_PI, as for the default
-    strip) is first counted by the periodic rule: the trapezoid sums of
+    A periodic rectangle (see KappaRect.periodic; the default strip is one)
+    is first counted by the periodic rule: the trapezoid sums of
     (log D)' minus every candidate's pole 1/2 cot((kappa - c_k)/2) on its
     two lines, 32 points each, plus the candidates strictly between them.
     It decides only when no candidate lies within _PERIODIC_GAP of a line,
@@ -640,7 +646,7 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
         return 0
     delta = max(1e-8, 1e-7 * max(region.width, region.height))
     retries = [delta * k for k in range(1, _BOUNDARY_RETRIES + 1)]
-    if region.width == TWO_PI:
+    if region.periodic:
         count = _periodic_winding(fam, region)
         if count is not None:
             return count
@@ -695,13 +701,13 @@ def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
 def _copies_in(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
     """The copies z + 2 pi k of the candidates that lie in the closed rect.
 
-    A rect exactly one period wide is half-open in Re, [re_min, re_max), and
-    holds one copy of each candidate in its Im range, seam or not.
+    A periodic rect is half-open in Re, [re_min, re_max), and holds one copy
+    of each candidate in its Im range, seam or not.
     """
     copies = []
     for z in kappas[(kappas.imag >= rect.im_min) & (kappas.imag <= rect.im_max)]:
         first = int(np.ceil((rect.re_min - z.real) / TWO_PI))
-        last = first if rect.width == TWO_PI else int(np.floor((rect.re_max - z.real) / TWO_PI))
+        last = first if rect.periodic else int(np.floor((rect.re_max - z.real) / TWO_PI))
         copies.extend(complex(z.real + TWO_PI * k, z.imag) for k in range(first, last + 1))
     return np.array(copies, dtype=complex)
 
@@ -739,15 +745,14 @@ def _deflation_poles(kappas: np.ndarray, rect: KappaRect) -> np.ndarray:
 def _group_in_region(kappas: np.ndarray, rect: KappaRect) -> List[List[complex]]:
     """Copies of the candidates in rect, one per period, grouped by proximity.
 
-    In a rect one period wide, copies on both sides of the seam are near
-    when they are near modulo 2 pi: such a copy joins its group moved by
-    2 pi, next to the group's first member.
+    In a periodic rect, copies on both sides of the seam are near when they
+    are near modulo 2 pi: such a copy joins its group moved by 2 pi, next to
+    the group's first member.
     """
-    period = rect.width == TWO_PI
     groups: List[List[complex]] = []
     for z in sorted(_copies_in(kappas, rect).tolist(), key=lambda z: (z.real, z.imag)):
         for group in groups:
-            near = z - TWO_PI * round((z.real - group[0].real) / TWO_PI) if period else z
+            near = z - TWO_PI * round((z.real - group[0].real) / TWO_PI) if rect.periodic else z
             if min(abs(near - w) for w in group) < _VERIFY_RADIUS:
                 group.append(near)
                 break
@@ -841,20 +846,20 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
     """All determinant zeros in the region, as verified Root records.
 
     With no region the default strip (one period in Re kappa, Im kappa from
-    -2 to just above the axis) is searched and real parts are reported in
-    [0, 2 pi).  Candidates come from the eigenvalues of the walk compressed
-    to the override box; each group of coinciding candidates is refined by
-    Newton and accepted only once a small verification contour confirms its
-    multiplicity, and the multiplicities must add up to the winding of D
-    around the region.  A root pi from one already certified on its circle
-    takes that certificate (see _PARTNER_TOL).  A region exactly one period
-    wide holds its zeros in [re_min, re_min + 2 pi), a zero on its seam
-    once.  Anything that cannot be certified raises NumericalFailure instead
-    of degrading the answer silently.
+    -2 to just above the axis) is searched.  Candidates come from the
+    eigenvalues of the walk compressed to the override box; each group of
+    coinciding candidates is refined by Newton and accepted only once a
+    small verification contour confirms its multiplicity, and the
+    multiplicities must add up to the winding of D around the region.  A root pi from one already certified on its circle
+    takes that certificate (see _PARTNER_TOL).  Real parts are reported in
+    [frame, frame + 2 pi), snapping to frame within 1e-12 of its end: frame
+    is 0 with no region, and re_min for a periodic region, whose seam zeros
+    count once.  Anything that cannot be certified raises NumericalFailure
+    instead of degrading the answer silently.
     """
     fam = DeterminantFamily(coin) if not isinstance(coin, DeterminantFamily) else coin
-    normalize = region is None
     rect = default_strip() if region is None else region
+    frame = 0.0 if region is None else rect.re_min if rect.periodic else None
     if fam.trivial:
         return []
 
@@ -880,17 +885,11 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
             kind = "eigenvalue"
         else:
             kind = "resonance"
-        if normalize:
-            re = kappa.real % TWO_PI
-            if re >= TWO_PI - 1e-12:
-                re = 0.0
-            kappa = complex(re, kappa.imag)
-        elif rect.width == TWO_PI and not rect.re_min <= kappa.real < rect.re_max:
-            # A copy next to the seam can round onto re_max, or Newton can
-            # cross it: report the zero in [re_min, re_max), and measure
-            # the residual there.
-            re = rect.re_min + (kappa.real - rect.re_min) % TWO_PI
-            kappa = complex(re if re < rect.re_max else rect.re_min, kappa.imag)
+        if frame is not None and not frame <= kappa.real < frame + TWO_PI - 1e-12:
+            # A copy can round onto the seam's far side, or Newton can cross
+            # it: report the zero in the frame, and measure the residual there.
+            re = frame + (kappa.real - frame) % TWO_PI
+            kappa = complex(re if re < frame + TWO_PI - 1e-12 else frame, kappa.imag)
         residual = fam.abs_det(kappa)
         if residual > ROOT_RESIDUAL_TOL:
             # |D|/|D'| = 1/|(log D)'| is how far Newton's next step would go.

@@ -31,6 +31,8 @@ COMMANDS = {
     "resonances-corner": ["resonances", "--preset", "corner", "--m0", "1", "--n0", "1"],
     "resonances-one-corner-csv": ["resonances", "--preset", "one-corner", "--m0", "2", "--n0", "2",
                                   "--eps", "0.2", "--emit", "csv"],
+    "resonances-one-corner-depth": ["resonances", "--preset", "one-corner", "--m0", "2", "--n0", "2",
+                                    "--eps", "0.2", "--strip-depth", "0.5", "--emit", "csv"],
     "resonances-phase-corner": ["resonances", "--preset", "phase-corner", "--m0", "1", "--n0", "1",
                                 "--eps", "0.22"],
     "corner-scan-json": ["corner-scan", "--preset", "one-corner", "--m0", "1", "--n0", "1",

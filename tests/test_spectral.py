@@ -907,6 +907,56 @@ def test_a_full_period_region_reports_its_zeros_inside(preset, re_min):
     assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
 
 
+SEAM_STARTS = np.arange(-140, 140) * 0.05
+
+
+def test_a_band_built_one_period_wide_is_periodic():
+    # (a + 2 pi) - a rounds away from 2 pi for some of these starts, so the
+    # width cannot tell; a band built as KappaRect(a, a + 2 pi) is periodic.
+    assert all(KappaRect(a, a + spectral.TWO_PI, -2.0, 1e-6).periodic for a in SEAM_STARTS)
+    assert any(KappaRect(a, a + spectral.TWO_PI, -2.0, 1e-6).width != spectral.TWO_PI
+               for a in SEAM_STARTS)
+    assert all(spectral.default_strip(-d).periodic for d in (0.5, 1.0, 2.0))
+    assert spectral.default_strip(-0.5) == KappaRect(
+        spectral.STRIP_SHIFT, spectral.STRIP_SHIFT + 2 * np.pi, -0.5, spectral.STRIP_IM_MAX)
+    assert not KappaRect(0.0, 2 * np.pi - 1e-9, -2.0, 1e-6).periodic
+
+
+@pytest.mark.parametrize("start", [3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4, 1.8])
+@pytest.mark.parametrize("preset", CORNER_PRESETS)
+def test_a_band_whose_width_rounds_off_two_pi_holds_its_zeros_once(preset, start):
+    # Zeros lie at multiples of pi / 4, so the first three starts put zeros
+    # on the seam; for all four, (start + 2 pi) - start != 2 pi.
+    fam = DeterminantFamily(make_corner_family(2, 2, 0.2, preset).coin)
+    band = KappaRect(start, start + spectral.TWO_PI, -2.0, 1e-6)
+    assert band.width != spectral.TWO_PI
+    roots = locate_roots(fam, band)
+    assert sum(r.multiplicity for r in roots) == 16
+    assert all(band.re_min <= r.kappa.real < band.re_max for r in roots), roots
+    apart = circular_distances([r.kappa for r in roots], [r.kappa for r in roots])
+    assert np.all(apart[~np.eye(len(roots), dtype=bool)] > 1e-9)
+
+
+def test_a_band_whose_width_rounds_off_two_pi_is_counted_by_the_periodic_rule(monkeypatch):
+    # The band at 1.8 costs what the band at 1.0 does: the periodic rule,
+    # not the adaptive rule on a closed rectangle.
+    dlogs = DeterminantFamily.dlogs
+    points = []
+
+    def spy(self, kappas):
+        points.append(np.asarray(kappas).size)
+        return dlogs(self, kappas)
+
+    monkeypatch.setattr(DeterminantFamily, "dlogs", spy)
+    coin = make_corner_family(2, 2, 0.2, "one-corner").coin
+    cost = {}
+    for start in (1.0, 1.8):
+        points.clear()
+        locate_roots(DeterminantFamily(coin), KappaRect(start, start + spectral.TWO_PI, -2.0, 1e-6))
+        cost[start] = sum(points)
+    assert cost == {1.0: 600, 1.8: 600}
+
+
 def test_a_cluster_split_by_the_seam_is_one_group(monkeypatch):
     # The closed loop's double zero at 0, with its two candidates moved
     # 1e-9 to either side of the seam: one group of two, not two of one.
