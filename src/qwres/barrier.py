@@ -180,6 +180,8 @@ def build_nonpenetrable(spec: BarrierSpec) -> NonPenetrableWalk:
 
 _LEAK_TOL = 1e-12
 _SPECTRUM_TOL = 1e-10
+# Eigenphases within this distance of mu0 count as mu0 itself.
+_PHASE_TOL = 1e-8
 
 
 class InteriorSpectrum:
@@ -232,8 +234,8 @@ class InteriorSpectrum:
     def dimension(self) -> int:
         return len(self.eigenphases)
 
-    def multiplicity_of(self, mu0: float, tol: float = 1e-8) -> int:
-        return int(np.sum(self.phase_distance(mu0) <= tol))
+    def multiplicity_of(self, mu0: float) -> int:
+        return int(np.sum(self.phase_distance(mu0) <= _PHASE_TOL))
 
     def phase_distance(self, mu0: float) -> np.ndarray:
         return np.abs((self.eigenphases - mu0 + np.pi) % TWO_PI - np.pi)
@@ -242,18 +244,14 @@ class InteriorSpectrum:
 def interior_spectrum(g, coins: Optional[Mapping[Site, np.ndarray]] = None) -> InteriorSpectrum:
     """Interior unitary and eigendecomposition of a non-penetrable walk.
 
-    g may be a NonPenetrableWalk (coins must then be omitted), a BarrierSpec,
-    or the box radius, in which case coins supplies overrides that are routed
-    to the walls or the interior by their location.
+    g may be a NonPenetrableWalk (coins must then be omitted) or the box
+    radius, in which case coins supplies overrides that are routed to the
+    walls or the interior by their location.
     """
     if isinstance(g, NonPenetrableWalk):
         if coins:
             raise ValueError("coins cannot be overridden on an already built walk")
         walk = g
-    elif isinstance(g, BarrierSpec):
-        if coins:
-            raise ValueError("pass coin overrides inside the BarrierSpec")
-        walk = build_nonpenetrable(g)
     else:
         m0 = int(g)
         walls = set(wall_sites(m0))
@@ -307,21 +305,20 @@ def norm_on_loop(
     mu0: float,
     eps: float,
     s: float = 0.5,
-    a: float = 1.0,
-    b: float = 1.0,
+    *,
     samples: int = 64,
 ) -> float:
-    """Max interior resolvent norm over the loop of scale eps^s around mu0.
+    """Max interior resolvent norm over the square KappaRect.for_scale(mu0, eps, s).
 
     The norm at kappa is 1 / sigma_min(U_i - e^{-i kappa}), which for the
     unitary, hence normal, U_i is 1 / min_j |lambda_j - e^{-i kappa}|.  Any
     eigenphase other than mu0 inside the loop makes the scaling regime
     meaningless, so that raises instead of returning a number.
     """
-    loop = KappaRect.for_scale(mu0, eps, s, a, b)
-    half_width = a * eps**s
+    loop = KappaRect.for_scale(mu0, eps, s)
+    half_width = eps**s
     distance = iu.phase_distance(mu0)
-    if np.any(distance[distance > 1e-8] <= half_width):
+    if np.any(distance[distance > _PHASE_TOL] <= half_width):
         raise NumericalFailure(
             f"another eigenphase lies inside the loop of half width {half_width:.3e} "
             f"around mu0 = {mu0}"

@@ -67,6 +67,7 @@ from .spectral import (
     DeterminantFamily,
     NumericalFailure,
     default_strip,
+    fold_real,
     locate_roots,
     root_reported_at,
 )
@@ -249,6 +250,7 @@ _MODEL_BUILDERS: Dict[str, Callable[[Dict[str, object]], CoinField]] = {
 }
 MODEL_PRESETS = tuple(_MODEL_BUILDERS)
 ELASTIC_PRESETS = ("corner", "random-elastic")
+_ORBIT_PHASE_TOL = 1e-9  # orbit eigenphases closer than this are one phase
 
 
 def _model_coin_field(cfg: Dict[str, object]) -> CoinField:
@@ -320,16 +322,16 @@ def _run_trace(cfg):
     return payload, None
 
 
-def _cluster_phases(entries: List[Tuple[float, int]], tol: float = 1e-9):
+def _cluster_phases(entries: List[Tuple[float, int]]):
     """Group (phase, orbit id) pairs into clusters of equal phase."""
     entries = sorted(entries)
     clusters: List[List[Tuple[float, int]]] = []
     for item in entries:
-        if clusters and item[0] - clusters[-1][-1][0] <= tol:
+        if clusters and item[0] - clusters[-1][-1][0] <= _ORBIT_PHASE_TOL:
             clusters[-1].append(item)
         else:
             clusters.append([item])
-    if len(clusters) > 1 and (TWO_PI - clusters[-1][-1][0]) + clusters[0][0][0] <= tol:
+    if len(clusters) > 1 and (TWO_PI - clusters[-1][-1][0]) + clusters[0][0][0] <= _ORBIT_PHASE_TOL:
         clusters[0] = clusters.pop() + clusters[0]
     return clusters
 
@@ -362,7 +364,7 @@ def _run_resonances(cfg):
     fam = DeterminantFamily(_model_coin_field(cfg))
     region = None if cfg["strip_depth"] is None else default_strip(-cfg["strip_depth"])
     roots = [
-        root_reported_at(r, fam, complex(r.kappa.real % TWO_PI, r.kappa.imag))
+        root_reported_at(r, fam, complex(fold_real(r.kappa.real), r.kappa.imag))
         for r in locate_roots(fam, region=region)
     ]
     roots = sorted(roots, key=lambda r: (r.kappa.real, r.kappa.imag))

@@ -93,16 +93,15 @@ class PermutationCoin:
         return f"PermutationCoin(box_radius={self.box_radius}, overrides={len(self._perms)})"
 
 
-def random_permutation_coin(box_radius: int, seed: int, with_phases: bool = True) -> PermutationCoin:
-    """Seeded elastic field with a random permutation (and phases) per site."""
+def random_permutation_coin(box_radius: int, seed: int) -> PermutationCoin:
+    """Seeded elastic field with a random permutation and four random phases per site."""
     rng = np.random.default_rng(seed)
     perms = {}
     phases = {}
     for x in range(-box_radius, box_radius + 1):
         for y in range(-box_radius, box_radius + 1):
             perms[(x, y)] = tuple(int(v) for v in rng.permutation(4))
-            if with_phases:
-                phases[(x, y)] = tuple(float(v) for v in rng.uniform(0.0, TWO_PI, size=4))
+            phases[(x, y)] = tuple(float(v) for v in rng.uniform(0.0, TWO_PI, size=4))
     return PermutationCoin(box_radius, perms, phases)
 
 

@@ -70,6 +70,12 @@ _DEVIATION_SLACK = 1e-12
 _CLOSURE_TOL = 1e-9
 _POLE_GUARD = 1e-8
 _PHASE_CLUSTER_TOL = 1e-8
+_CONDITION_C_TOL = 1e-12
+# Half-side of a migration loop in units of eps^s: loops on the natural grids
+# stay disjoint (closed-spectrum phases of the shipped families lie pi/4 apart
+# or more) and hold the whole migrated cluster, whose observed spread stays
+# below 0.34 eps^(1/2) for the trivial shape family up to eps = 0.4.
+_MIGRATION_LOOP = 0.5
 
 
 def corner_sites(m0: int, n0: int) -> Tuple[Site, Site, Site, Site]:
@@ -488,7 +494,7 @@ class ConditionCReport:
         return self.first_clause or self.second_clause
 
 
-def condition_c_check(coin: CoinField, tol: float = 1e-12) -> ConditionCReport:
+def condition_c_check(coin: CoinField) -> ConditionCReport:
     """Check the subdeterminant condition the wall analysis needs.
 
     For every override site the four 2 x 2 subdeterminants of the coin with
@@ -506,13 +512,9 @@ def condition_c_check(coin: CoinField, tol: float = 1e-12) -> ConditionCReport:
             for name, pair in _DET_PAIRS
         }
         rows.append(SiteDeterminants(site, **dets))
-    first = all(
-        min(abs(r.left_down), abs(r.right_up)) > tol for r in rows
-    )
-    second = all(
-        min(abs(r.left_up), abs(r.right_down)) > tol for r in rows
-    )
-    return ConditionCReport(tuple(rows), float(tol), first, second)
+    first = all(min(abs(r.left_down), abs(r.right_up)) > _CONDITION_C_TOL for r in rows)
+    second = all(min(abs(r.left_up), abs(r.right_down)) > _CONDITION_C_TOL for r in rows)
+    return ConditionCReport(tuple(rows), _CONDITION_C_TOL, first, second)
 
 
 def _circle_distance(a: float, b: float) -> float:
@@ -569,28 +571,20 @@ def migration_scan(
     eps_grid: Sequence[float],
     mu0_list: Sequence[float],
     s: float = 0.5,
-    a: float = 0.5,
-    b: float = 0.5,
     threads: int = 1,
 ) -> Tuple[MigrationRow, ...]:
     """Track determinant roots inside shrinking loops around chosen phases.
 
     For every ``eps`` in the grid the family is rebuilt at that strength
-    and, for every center ``mu0``, the determinant roots inside the
-    rectangle of half-width ``a eps^s`` and half-height ``b eps^s`` around
-    ``mu0`` are located.  The loops must stay pairwise disjoint and each
-    must isolate exactly one phase of the closed spectrum; anything else
-    raises ValueError, since a count over such a loop could not be
-    attributed to a single unperturbed phase.  Rows come back ordered by
-    ``eps`` first and center second, regardless of the thread count.
-    Each root's real part is reported within pi of its loop center, with
-    the residual re-measured at that value (see ``root_reported_at``).
-
-    The default half-width factor 0.5 keeps loops on the natural grids
-    disjoint (clusters of closed-spectrum phases are spaced at least
-    pi/4 apart for the shipped families) while still capturing the full
-    migrated cluster, whose observed spread stays below 0.34 eps^(1/2)
-    for the trivial shape family up to eps = 0.4.
+    and, for every center ``mu0``, the determinant roots inside the square
+    of half-width ``0.5 eps^s`` around ``mu0`` are located.  The loops must
+    stay pairwise disjoint and each must isolate exactly one phase of the
+    closed spectrum; anything else raises ValueError, since a count over
+    such a loop could not be attributed to a single unperturbed phase.
+    Rows come back ordered by ``eps`` first and center second, regardless
+    of the thread count.  Each root's real part is reported within pi of
+    its loop center, with the residual re-measured at that value (see
+    ``root_reported_at``).
     """
     eps_values = [float(e) for e in eps_grid]
     centers = [float(m) % TWO_PI for m in mu0_list]
@@ -604,7 +598,7 @@ def migration_scan(
     phases = closed_spectrum_phases(fam)
     jobs = []
     for e in eps_values:
-        half_re = a * e ** s
+        half_re = _MIGRATION_LOOP * e ** s
         for i, mu in enumerate(centers):
             for other in centers[i + 1:]:
                 if _circle_distance(mu, other) <= 2.0 * half_re:
@@ -630,7 +624,8 @@ def migration_scan(
     def run(job) -> MigrationRow:
         e, mu = job
         roots = []
-        for root in locate_roots(families[e], KappaRect.for_scale(mu, e, s, a, b)):
+        loop = KappaRect.for_scale(mu, e, s, _MIGRATION_LOOP, _MIGRATION_LOOP)
+        for root in locate_roots(families[e], loop):
             re = mu + ((root.kappa.real - mu + math.pi) % TWO_PI) - math.pi
             roots.append(root_reported_at(root, families[e], complex(re, root.kappa.imag)))
         return MigrationRow(e, mu, sum(r.multiplicity for r in roots), tuple(roots))
@@ -737,21 +732,17 @@ def projection_difference(
     mu0: float,
     f: WalkState,
     g: WalkState,
-    s: float = 0.5,
-    a: float = 1.0,
-    b: float = 1.0,
 ) -> complex:
     """Matrix element of the spectral-projection difference over one loop.
 
-    Both members of the family are integrated around the same rectangle of
-    half-width ``a eps^s`` and half-height ``b eps^s`` centered at ``mu0``,
-    and the sealed value is subtracted from the open one.  As ``eps``
-    shrinks the difference is expected to shrink like ``eps^s`` in norm.
+    Both members of the family are integrated around the same square
+    ``KappaRect.for_scale(mu0, eps)`` of half-width ``eps^(1/2)``, and the
+    sealed value is subtracted from the open one.  As ``eps`` shrinks the
+    difference is expected to shrink like ``eps^(1/2)`` in norm.
     """
     if fam.eps <= 0:
         raise ValueError("the projection difference needs eps > 0 to size its loop")
-    mu0 = float(mu0)
-    loop = KappaRect.for_scale(mu0, fam.eps, s, a, b)
-    opened = projection_element(fam.coin, complex(mu0), loop, f, g)
-    sealed = projection_element(_closed_coin(fam), complex(mu0), loop, f, g)
+    loop = KappaRect.for_scale(float(mu0), fam.eps)
+    opened = projection_element(fam.coin, loop, f, g)
+    sealed = projection_element(_closed_coin(fam), loop, f, g)
     return opened - sealed

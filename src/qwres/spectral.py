@@ -90,6 +90,7 @@ of the full matrix, to the bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -169,6 +170,8 @@ class KappaRect:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValueError(f"rectangle {self} has a bound that is not finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError(f"degenerate rectangle {self}")
 
@@ -200,9 +203,9 @@ class KappaRect:
         )
 
     @staticmethod
-    def around(z: complex, half_width: float, half_height: Optional[float] = None) -> "KappaRect":
-        hh = half_width if half_height is None else half_height
-        return KappaRect(z.real - half_width, z.real + half_width, z.imag - hh, z.imag + hh)
+    def around(z: complex, half_width: float) -> "KappaRect":
+        r = half_width
+        return KappaRect(z.real - r, z.real + r, z.imag - r, z.imag + r)
 
     @staticmethod
     def for_scale(mu0: float, eps: float, s: float = 0.5, a: float = 1.0, b: float = 1.0) -> "KappaRect":
@@ -227,6 +230,15 @@ class KappaRect:
 
 def default_strip(im_min: float = STRIP_IM_MIN) -> KappaRect:
     return KappaRect(STRIP_SHIFT, STRIP_SHIFT + TWO_PI, im_min, STRIP_IM_MAX)
+
+
+_FOLD_SNAP = 1e-12
+
+
+def fold_real(re: float, frame: float = 0.0) -> float:
+    """re moved by whole periods into [frame, frame + 2 pi); within 1e-12 of its end, frame."""
+    re = frame + (re - frame) % TWO_PI
+    return re if re < frame + TWO_PI - _FOLD_SNAP else frame
 
 
 @dataclass(frozen=True)
@@ -627,7 +639,9 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     exactly the rectangles that count it inside.  If the integrand is not
     finite on the boundary, or the quadrature runs out of its depth or
     level budget, the rectangle is expanded by a tiny amount and retried;
-    persistent trouble raises NumericalFailure.
+    persistent trouble raises NumericalFailure.  A field with no candidate
+    whose box walk (see _box_walk) has no cycle in its pattern is nilpotent
+    there, so D = 1 and no zero lies anywhere.
 
     A periodic rectangle (see KappaRect.periodic; the default strip is one)
     is first counted by the periodic rule: the trapezoid sums of
@@ -642,7 +656,7 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     seam is counted once.
     """
     fam = coin if isinstance(coin, DeterminantFamily) else DeterminantFamily(coin)
-    if fam.trivial:
+    if fam.trivial or (not fam.candidates.size and not _diagonal_blocks(_box_walk(fam.coin))):
         return 0
     delta = max(1e-8, 1e-7 * max(region.width, region.height))
     retries = [delta * k for k in range(1, _BOUNDARY_RETRIES + 1)]
@@ -679,21 +693,28 @@ _NEWTON_MAX_ITER = 60
 _VERIFY_RADIUS = 1e-6
 
 
-def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
-    """Every zero of D modulo 2 pi, from the walk compressed to the override box.
+def _box_walk(coin: CoinField) -> np.ndarray:
+    """The walk A compressed to all four chiralities on the override sites' bounding box.
 
-    With A the walk compressed to all four chiralities on every site of the
-    bounding box of the override sites, identity sites included,
     D(kappa) = det(I - e^{i kappa} A): along each line through the box the
     free kernel is z (I - z S)^{-1} for a nilpotent shift S, and
-    det(I - z S) = 1.  So the zeros are kappa = i log w over the nonzero
-    eigenvalues w of A; real parts come back in [-pi, pi).
+    det(I - z S) = 1.  Without override sites the box is empty.
     """
-    sites = fam.coin.override_sites()
-    (lo1, lo2), (hi1, hi2) = np.min(sites, axis=0).tolist(), np.max(sites, axis=0).tolist()
-    box = [((x1, x2), j) for x1 in range(lo1, hi1 + 1) for x2 in range(lo2, hi2 + 1)
-           for j in CHIRALITIES]
-    ws = np.linalg.eigvals(compress_walk(fam.coin, box)[0])
+    sites = coin.override_sites()
+    box = []
+    if sites:
+        (lo1, lo2), (hi1, hi2) = np.min(sites, axis=0).tolist(), np.max(sites, axis=0).tolist()
+        box = [((x1, x2), j) for x1 in range(lo1, hi1 + 1) for x2 in range(lo2, hi2 + 1)
+               for j in CHIRALITIES]
+    return compress_walk(coin, box)[0]
+
+
+def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
+    """Every zero of D modulo 2 pi: kappa = i log w over the nonzero eigenvalues w of _box_walk.
+
+    Real parts come back in [-pi, pi).
+    """
+    ws = np.linalg.eigvals(_box_walk(fam.coin))
     ws = ws[ws != 0]
     return -np.angle(ws) + 1j * np.log(np.abs(ws))
 
@@ -885,11 +906,10 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
             kind = "eigenvalue"
         else:
             kind = "resonance"
-        if frame is not None and not frame <= kappa.real < frame + TWO_PI - 1e-12:
+        if frame is not None and not frame <= kappa.real < frame + TWO_PI - _FOLD_SNAP:
             # A copy can round onto the seam's far side, or Newton can cross
             # it: report the zero in the frame, and measure the residual there.
-            re = frame + (kappa.real - frame) % TWO_PI
-            kappa = complex(re if re < frame + TWO_PI - 1e-12 else frame, kappa.imag)
+            kappa = complex(fold_real(kappa.real, frame), kappa.imag)
         residual = fam.abs_det(kappa)
         if residual > ROOT_RESIDUAL_TOL:
             # |D|/|D'| = 1/|(log D)'| is how far Newton's next step would go.
@@ -1057,18 +1077,11 @@ _PROJECTION_TOL = 1e-8
 _MAX_LOOP_SAMPLES = 1 << 15
 
 
-def projection_element(
-    coin: CoinField,
-    kappa0: complex,
-    loop,
-    f: WalkState,
-    g: WalkState,
-) -> complex:
-    """Matrix element <P f, g> of the Riesz projection at the roots inside loop.
+def projection_element(coin: CoinField, rect: KappaRect, f: WalkState, g: WalkState) -> complex:
+    """Matrix element <P f, g> of the Riesz projection at the roots inside rect.
 
     Evaluates (1/2 pi) of the counterclockwise integral of
-    e^{-i mu} <R(mu) f, g> d mu over the rectangle ``loop`` (a KappaRect, or
-    a float half-width of a square centered at kappa0).  On the real axis
+    e^{-i mu} <R(mu) f, g> d mu around the rectangle.  On the real axis
     this is the spectral projection of the unitary walk; below it, the
     residue pairing of the continued resolvent.  Trapezoid sums are doubled
     until two refinements agree to 1e-8, each doubling evaluating only the
@@ -1076,11 +1089,6 @@ def projection_element(
     is not finite (a point on a pole) raises NumericalFailure at once, as
     does a loop whose sums have not settled at the last level.
     """
-    center = complex(kappa0)
-    if isinstance(loop, KappaRect):
-        rect = loop
-    else:
-        rect = KappaRect.around(center, float(loop))
     pairing = ResolventPairing(coin, f, g)
     corners = rect.corners()
     edges = list(zip(corners, corners[1:] + corners[:1]))

@@ -23,7 +23,8 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .lattice import CHIRALITIES, STEP_AXIS, STEP_SIGN, WalkOperator, WalkState, apply_walk
+from .lattice import (CHIRALITIES, STEP_AXIS, STEP_SIGN, WalkOperator, WalkState, _coin_field_of,
+                      apply_walk)
 
 
 def translation_weight(theta: complex, site, chirality: int) -> complex:
@@ -183,7 +184,7 @@ def verify_outgoing(op: WalkOperator, s: OutgoingState, window: int) -> Outgoing
     site past the dilated box, where the tail formulas take over from the
     stored core.
     """
-    coin = op.coin if isinstance(op, WalkOperator) else op
+    coin = _coin_field_of(op)
     if coin.box_radius != s.box_radius:
         raise ValueError(
             f"operator box radius {coin.box_radius} != state box radius {s.box_radius}"

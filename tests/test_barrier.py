@@ -135,8 +135,6 @@ def test_spectrum_routing_validation():
     walk = build_nonpenetrable(BarrierSpec(1))
     with pytest.raises(ValueError, match="already built"):
         interior_spectrum(walk, {(0, 0): np.eye(4, dtype=complex)})
-    with pytest.raises(ValueError, match="inside the BarrierSpec"):
-        interior_spectrum(BarrierSpec(1), {(0, 0): np.eye(4, dtype=complex)})
 
 
 def _random_kappa(rng) -> complex:

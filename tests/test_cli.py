@@ -499,6 +499,19 @@ class TestResonancesCommand:
         assert all(-0.5 <= r["kappa"]["im"] <= 0.0 for r in roots)
         assert all(0.0 <= r["kappa"]["re"] < TWO_PI for r in roots)
 
+    @pytest.mark.parametrize("m0,n0", [(1, 1), (2, 2), (1, 2), (3, 2)])
+    def test_strip_depth_folds_like_the_default_strip(self, capsys, m0, n0):
+        # The axis eigenvalue sits a rounding error below 0, inside the
+        # strip's frame [-pi/32, 2 pi - pi/32); folding it into [0, 2 pi)
+        # must not leave it at 2 pi.
+        argv = ["resonances", "--preset", "phase-corner", "--m0", str(m0), "--n0", str(n0),
+                "--eps", "0.2", "--emit", "csv"]
+        _, default = run_csv(capsys, argv)
+        _, deep = run_csv(capsys, argv + ["--strip-depth", "2"])
+        assert all(0.0 <= float(row[0]) < TWO_PI for row in default + deep)
+        assert [row[:6] for row in deep] == [row[:6] for row in default]
+        assert all(float(row[6]) <= 1e-8 for row in deep)
+
 
 class TestBarrierCommands:
     def test_barrier_spec_payload(self, capsys):

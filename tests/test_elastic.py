@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwres import spectral
 from qwres.elastic import (
     ClosedOrbit,
     Escaped,
@@ -198,6 +199,19 @@ def test_quantized_spectra_are_determinant_roots(seed):
             grouped[0][0] - 1e-3, grouped[0][0] - 1e-3 + 2 * np.pi, -1.0, 1e-6
         ))
         assert strip == total
+
+
+def test_box_walk_blocks_are_the_closed_orbits():
+    # The diagonal blocks of the box walk (the strong components of its
+    # pattern) are the closed orbits, one block per orbit of its period; a
+    # pattern with no cycle is a field that does not trap.
+    for seed in range(60):
+        coin = random_permutation_coin(2, seed)
+        report = classify_trapping(coin)
+        blocks = spectral._diagonal_blocks(spectral._box_walk(coin.to_coin_field()))
+        sizes = sorted(stack.shape[1] for stack in blocks for _ in stack)
+        assert sizes == sorted(orbit.period for orbit in report.orbits), seed
+        assert (not blocks) == report.non_trapping, seed
 
 
 def test_non_trapping_field_has_no_spectrum_in_the_strip():

@@ -418,7 +418,7 @@ class TestMigrationScan:
     def test_ambiguous_loops_are_rejected(self):
         fam = make_corner_family(1, 1, 0.5, "one-corner")
         with pytest.raises(ValueError, match="attributable"):
-            migration_scan(fam, [1.0], [math.pi / 2], a=2.0, s=1.0)
+            migration_scan(make_corner_family(4, 4, 0.5, "one-corner"), [1.0], [math.pi / 2])
         with pytest.raises(ValueError, match="phase inside"):
             migration_scan(fam, [0.01], [1.0])
 
@@ -537,7 +537,7 @@ class TestProjectionDifference:
         f = WalkState.delta((0, 0), LEFT)
         loop = KappaRect.for_scale(math.pi / 2, eps)
         for coin in (fam.coin, fam.base.coin):
-            value = projection_element(coin, complex(math.pi / 2), loop, f, f)
+            value = projection_element(coin, loop, f, f)
             assert abs(value - 0.25) <= 1e-8, (eps, value)
 
     @staticmethod

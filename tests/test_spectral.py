@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -236,6 +237,7 @@ def test_identity_coin_has_trivial_determinant():
     assert d == 1.0
     assert dlog == 0.0
     assert locate_roots(coin) == []
+    assert DeterminantFamily(coin).candidates.shape == (0,)
 
 
 def test_single_site_override_cannot_trap():
@@ -445,6 +447,20 @@ def test_dlogs_is_inf_throughout_a_singular_chunk(monkeypatch):
     np.testing.assert_allclose(values[finite], full, rtol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [24, 33])
+def test_a_box_walk_without_a_cycle_has_no_zero(seed):
+    # These elastic fields do not trap: M is nonzero, but the box walk's
+    # pattern has no cycle, so it is nilpotent and D = 1 everywhere.  The
+    # adaptive winding cannot show that on the full strip's long edges.
+    field = random_permutation_coin(2, seed).to_coin_field()
+    fam = DeterminantFamily(field)
+    assert not fam.trivial and fam.candidates.size == 0
+    start = time.perf_counter()
+    assert locate_roots(fam) == []
+    assert winding_number(field, spectral.default_strip()) == 0
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_elastic_candidates_stay_on_the_axis(seed):
     # An elastic field traps amplitude only on closed orbits, so every zero
@@ -596,11 +612,13 @@ def strip_cases():
     ]
 
 
-@pytest.mark.parametrize("bad", ["dropped", "spurious"])
+@pytest.mark.parametrize("bad", ["dropped", "spurious", "none"])
 def test_deflated_winding_survives_bad_candidates(monkeypatch, bad):
     # A wrong candidate list may cost points but never change the count: a
     # zero without a candidate keeps its pole in the integrand, and a point
-    # that is no zero adds a pole that winds away its own inside count.
+    # that is no zero adds a pole that winds away its own inside count.  No
+    # candidate at all does not make D = 1 either: that is read off the box
+    # walk's pattern.
     full = spectral._zero_candidates
     spurious = 1.0 + 5e-7j  # inside the strip, 5e-7 below its top edge
 
@@ -608,6 +626,8 @@ def test_deflated_winding_survives_bad_candidates(monkeypatch, bad):
         kappas = full(fam)
         if bad == "dropped":
             return np.delete(kappas, np.argmin(np.abs(kappas)))
+        if bad == "none":
+            return kappas[:0]
         return np.append(kappas, spurious)
 
     monkeypatch.setattr(spectral, "_zero_candidates", wrong)
@@ -922,6 +942,13 @@ def test_a_band_built_one_period_wide_is_periodic():
     assert not KappaRect(0.0, 2 * np.pi - 1e-9, -2.0, 1e-6).periodic
 
 
+@pytest.mark.parametrize("bounds", [(0.0, np.inf, -1.0, 1.0), (0.0, 1.0, -np.inf, 1.0),
+                                    (np.nan, 1.0, -1.0, 1.0), (0.0, 1.0, -1.0, np.nan)])
+def test_a_rectangle_refuses_a_bound_that_is_not_finite(bounds):
+    with pytest.raises(ValueError, match="not finite"):
+        KappaRect(*bounds)
+
+
 @pytest.mark.parametrize("start", [3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4, 1.8])
 @pytest.mark.parametrize("preset", CORNER_PRESETS)
 def test_a_band_whose_width_rounds_off_two_pi_holds_its_zeros_once(preset, start):
@@ -1209,17 +1236,17 @@ def test_loop_eigenfunctions_are_exact():
 def test_projection_on_eigenspace_returns_squared_norm():
     coin = CoinField(1, one_corner_coins(0.0))
     f = loop_eigenfunction(0.0, plus=True)
-    val = projection_element(coin, 0.0, 0.3, f, f)
+    val = projection_element(coin, KappaRect.around(0j, 0.3), f, f)
     assert val == pytest.approx(f.norm() ** 2, abs=1e-6)
 
 
 def test_projection_annihilates_other_eigenspaces():
     coin = CoinField(1, one_corner_coins(0.0))
     f = loop_eigenfunction(np.pi / 2.0, plus=True)
-    val = projection_element(coin, 0.0, 0.3, f, f)
+    val = projection_element(coin, KappaRect.around(0j, 0.3), f, f)
     assert abs(val) < 1e-6
     g = loop_eigenfunction(0.0, plus=False)
-    cross = projection_element(coin, 0.0, 0.3, f, g)
+    cross = projection_element(coin, KappaRect.around(0j, 0.3), f, g)
     assert abs(cross) < 1e-6
 
 
@@ -1228,11 +1255,9 @@ def test_projection_is_additive_over_disjoint_loops():
     rng = np.random.default_rng(77)
     f = WalkState({(0, 0): rng.standard_normal(4) + 1j * rng.standard_normal(4)})
     g = WalkState({(1, 1): rng.standard_normal(4) + 1j * rng.standard_normal(4)})
-    both = projection_element(
-        coin, 0.0, KappaRect(-0.4, np.pi / 2 + 0.4, -0.4, 0.3), f, g
-    )
-    first = projection_element(coin, 0.0, 0.3, f, g)
-    second = projection_element(coin, complex(np.pi / 2, 0.0), 0.3, f, g)
+    both = projection_element(coin, KappaRect(-0.4, np.pi / 2 + 0.4, -0.4, 0.3), f, g)
+    first = projection_element(coin, KappaRect.around(0j, 0.3), f, g)
+    second = projection_element(coin, KappaRect.around(complex(np.pi / 2, 0.0), 0.3), f, g)
     assert both == pytest.approx(first + second, abs=1e-6)
 
 
@@ -1241,8 +1266,8 @@ def test_projection_at_resonance_is_stable_in_the_loop():
     coin = CoinField(1, one_corner_coins(eps))
     kappa0 = complex(0.0, np.log(1 - eps**2) / 8.0)
     f = WalkState.delta((0, 0), LEFT)
-    small = projection_element(coin, kappa0, 0.012, f, f)
-    large = projection_element(coin, kappa0, 0.025, f, f)
+    small = projection_element(coin, KappaRect.around(kappa0, 0.012), f, f)
+    large = projection_element(coin, KappaRect.around(kappa0, 0.025), f, f)
     assert abs(small) > 1e-3
     assert small == pytest.approx(large, abs=1e-6)
 
@@ -1250,7 +1275,7 @@ def test_projection_at_resonance_is_stable_in_the_loop():
 def test_empty_loop_has_zero_projection():
     coin = CoinField(1, one_corner_coins(0.6))
     f = WalkState.delta((0, 0), LEFT)
-    val = projection_element(coin, 0.7 - 0.01j, 0.05, f, f)
+    val = projection_element(coin, KappaRect.around(0.7 - 0.01j, 0.05), f, f)
     assert abs(val) < 1e-7
 
 
@@ -1267,7 +1292,7 @@ def test_projection_gives_up_after_the_last_level(monkeypatch):
     coin = CoinField(1, one_corner_coins(0.6))
     f = WalkState.delta((0, 0), LEFT)
     with pytest.raises(NumericalFailure, match="did not converge"):
-        projection_element(coin, 0.0, 0.3, f, f)
+        projection_element(coin, KappaRect.around(0j, 0.3), f, f)
     assert sum(points) == 4 * (2**15 + 1)
 
 
@@ -1285,7 +1310,7 @@ def test_projection_refuses_a_non_finite_sum_at_once(monkeypatch):
     coin = CoinField(1, one_corner_coins(0.6))
     f = WalkState.delta((0, 0), LEFT)
     with pytest.raises(NumericalFailure, match="not finite at 17 points per edge"):
-        projection_element(coin, 0.0, 0.3, f, f)
+        projection_element(coin, KappaRect.around(0j, 0.3), f, f)
     assert sum(points) == 68
 
 
@@ -1297,7 +1322,7 @@ def test_projection_through_an_eigenvalue_raises_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure, match="passes through a pole"):
-            projection_element(coin, 0.0, KappaRect(0.0, 1.0, -0.5, 0.5), f, f)
+            projection_element(coin, KappaRect(0.0, 1.0, -0.5, 0.5), f, f)
 
 
 # ---------------------------------------------------------------------------
