@@ -361,7 +361,7 @@ def _run_elastic_spec(cfg):
 
 
 def _run_resonances(cfg):
-    fam = DeterminantFamily(_model_coin_field(cfg))
+    fam = DeterminantFamily.of(_model_coin_field(cfg))
     region = None if cfg["strip_depth"] is None else default_strip(-cfg["strip_depth"])
     roots = [
         root_reported_at(r, fam, complex(fold_real(r.kappa.real), r.kappa.imag))

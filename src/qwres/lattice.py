@@ -39,6 +39,12 @@ _NORM_CHUNK = 1 << 10
 
 _INT64 = np.iinfo(np.int64)
 
+# WalkState.from_entries checks and sums at most this many entries in
+# Python: each numpy reduction costs microseconds, most of a delta's time.
+# The float additions are the same and in the same order, so are the bits,
+# except which of two NaNs their sum keeps.
+_FEW_ENTRIES = 2
+
 
 def _integer_site(site) -> Site:
     """The site as a pair of ints; ValueError for a coordinate that is not an integer."""
@@ -103,6 +109,11 @@ class WalkState:
         keep = np.any(amps != 0, axis=1)
         if not keep.all():
             sites, amps = sites[keep], amps[keep]
+        return cls._adopt(sites, amps)
+
+    @classmethod
+    def _adopt(cls, sites: np.ndarray, amps: np.ndarray) -> "WalkState":
+        """Wrap distinct int64 sites and their amplitude rows, none of them all zero."""
         sites.setflags(write=False)
         amps.setflags(write=False)
         out = cls.__new__(cls)
@@ -125,11 +136,20 @@ class WalkState:
         of different lengths.
         """
         xy, j = _site_array(sites), np.asarray(chiralities).reshape(-1)
-        if j.size and (j.dtype.kind not in "iu" or np.any((j < 0) | (j > 3))):
+        few = j.size <= _FEW_ENTRIES
+        if j.size and (j.dtype.kind not in "iu" or (
+                not all(0 <= c <= 3 for c in j.tolist()) if few else np.any((j < 0) | (j > 3)))):
             raise ValueError(f"chiralities are the integers 0 to 3, got {j.tolist()}")
         values = np.asarray(values, dtype=complex).reshape(-1)
         if not len(xy) == len(j) == len(values):
             raise ValueError(f"{len(xy)} sites, {len(j)} chiralities and {len(values)} values")
+        if few:
+            rows: Dict[Site, list] = {}
+            for site, c, v in zip(map(tuple, xy.tolist()), j.tolist(), values.tolist()):
+                rows.setdefault(site, [0j] * 4)[c] += v
+            kept = {site: row for site, row in rows.items() if any(row)}
+            return cls._adopt(np.array(list(kept), dtype=np.int64).reshape(-1, 2),
+                              np.array(list(kept.values()), dtype=complex).reshape(-1, 4))
         first, slot = _first_appearances(xy[:, 0], xy[:, 1])
         amps = np.zeros((first.size, 4), dtype=complex)
         np.add.at(amps, (slot, j.astype(np.intp)), values)
@@ -240,9 +260,12 @@ class CoinField:
         to max-abs tolerance 1e-12; failing coins are rejected outright
         rather than renormalized, since downstream phase products must not
         be silently altered.
+
+    The field is immutable, so spectral.DeterminantFamily.of keeps the
+    field's determinant family in the slot _family, built on first use.
     """
 
-    __slots__ = ("box_radius", "_overrides")
+    __slots__ = ("box_radius", "_overrides", "_family")
 
     def __init__(self, box_radius: int, overrides: Mapping[Site, np.ndarray]):
         if int(box_radius) != box_radius or box_radius < 0:
@@ -266,6 +289,7 @@ class CoinField:
             m.setflags(write=False)
             stored[x] = m
         self._overrides = stored
+        self._family = None
 
     @property
     def overrides(self) -> Dict[Site, np.ndarray]:

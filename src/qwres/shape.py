@@ -619,7 +619,7 @@ def migration_scan(
             jobs.append((e, mu))
     # One family per eps: its loops share the matrix tables and the
     # candidate eigenproblem.
-    families = {e: DeterminantFamily(rebuild_family(fam, e).coin) for e in eps_values}
+    families = {e: DeterminantFamily.of(rebuild_family(fam, e).coin) for e in eps_values}
 
     def run(job) -> MigrationRow:
         e, mu = job

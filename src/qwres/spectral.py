@@ -79,13 +79,17 @@ fixed coefficients times powers of e^{i kappa}, so which entries vanish
 does not depend on kappa.  Ordered by the strongly connected components of
 that pattern, M is block triangular, and D = prod_b det(I + M_bb) holds
 exactly over its diagonal blocks M_bb; so (log D)' is the sum of
-trace((I + M_bb)^{-1} M_bb') over the blocks.  The blocks are much smaller
-than M: on 50 seeded elastic radius-2 fields (m = 100) the largest holds
-4 to 70 indices, 43 in the median, and a corner model has two of 4 in
-place of 16.  A winding only yields an integer, so it does not see that
-the two forms round differently.  Newton, the residuals and every reported
-determinant stay on the full I + M, so the roots and residuals are those
-of the full matrix, to the bit.
+trace((I + M_bb)^{-1} M_bb') over the blocks.  The box walk splits the same
+way, D = prod_b det(I - e^{i kappa} A_bb) (Duff and Reid, ACM TOMS 4,
+1978), and on an elastic field its blocks are the closed orbits: on 60
+seeded radius-2 fields (m = 100) they hold 2 to 24 indices, where M's
+largest block holds 4 to 70, 44 in the median.  On the corner and barrier
+models A's blocks are the larger, so each family takes the table whose
+batched solves cost less, and checks A's against det(I + M) above the axis
+before taking it (see DeterminantFamily.blocks).  A winding only yields an
+integer, so it does not see that the forms round differently.  Newton, the
+residuals and every reported determinant stay on the full I + M, so the
+roots and residuals are those of the full matrix, to the bit.
 """
 
 from __future__ import annotations
@@ -261,6 +265,30 @@ class Root:
         return complex(np.exp(-1j * self.kappa))
 
 
+# A block of the box walk, M_bb = -e^{i kappa} A_bb, has exponent 1 in every
+# entry: one power index broadcast over a stack of blocks.
+_UNIT_EXPONENT = np.ones((1, 1, 1), dtype=int)
+# Points above the axis where the box walk's winding table is checked
+# against det(I + M), and the relative gap allowed.  There both sides are
+# well conditioned: the gap was at most 3.0e-15 on elastic radius-2 seeds
+# 0 to 59, while zeroing any one entry of A that moved its nonzero
+# eigenvalues (132 of 960 such drops on seeds 0 to 11) gave a gap above
+# 1e-8 every time.  Below the axis clean fields part too: at 4.1 - 1.1i
+# elastic radius-2 seed 16 gives 0.74.
+_GUARD_KAPPAS = np.array([0.7 + 0.3j, 2.3 + 0.2j, 4.1 + 0.1j])
+_GUARD_TOL = 1e-8
+
+
+def _gather(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column indices that gather the stacked blocks of idx (see _diagonal_blocks)."""
+    return idx[:, :, None], idx[:, None, :]
+
+
+def _solve_cost(split: List[np.ndarray]) -> int:
+    """Sum of blocks times size^3 over a block split: the work of one batched solve."""
+    return sum(idx.shape[0] * idx.shape[1] ** 3 for idx in split)
+
+
 def _diagonal_blocks(coeff: np.ndarray) -> List[np.ndarray]:
     """The diagonal blocks of coeff's block triangular form, as index arrays stacked by size.
 
@@ -282,13 +310,16 @@ def _diagonal_blocks(coeff: np.ndarray) -> List[np.ndarray]:
         if np.array_equal(wider, reach):
             break
         reach = wider
-    # Each index's component, named by its smallest member.
+    # Each index's component, named by its smallest member; sorted by name,
+    # the members of a component are a run of `order`, in ascending order.
     first = np.argmax(reach & reach.T, axis=1)
+    sizes = np.bincount(first, minlength=m)
+    order = np.argsort(first, kind="stable")
+    ends = np.cumsum(sizes)
     by_size = {}
-    for root in np.unique(first):
-        members = np.flatnonzero(first == root)
-        if members.size > 1 or coeff[root, root] != 0:
-            by_size.setdefault(members.size, []).append(members)
+    for root in np.flatnonzero((sizes > 1) | ((sizes == 1) & (np.diagonal(coeff) != 0))).tolist():
+        size = int(sizes[root])
+        by_size.setdefault(size, []).append(order[ends[root] - size : ends[root]])
     return [np.array(by_size[size]) for size in sorted(by_size)]
 
 
@@ -296,13 +327,15 @@ class DeterminantFamily:
     """Precomputed structure of M(kappa) for one coin field.
 
     Every matrix entry is coeff * e^{i kappa * expo} with integer expo >= 1,
-    so a batch of kappas is evaluated with one broadcast exponential.
+    so a batch of kappas is evaluated with one broadcast exponential.  The
+    box walk A (see _box_walk), with D = det(I - e^{i kappa} A), is built
+    once and shared by the candidates and the winding table.  Build one
+    through DeterminantFamily.of, which keeps a field's family on the field.
 
     dlogs, behind every winding, sums (log D)' over the diagonal blocks of
-    M's block triangular form, which the fixed pattern of coeff determines
-    (see blocks): D is the product of the blocks' determinants, exactly.
-    matrices, logdet, abs_det and det_dlog, behind Newton and the reported
-    residuals, stay on the full I + M.
+    the winding table (see blocks): D is the product of the blocks'
+    determinants, exactly.  matrices, logdet, abs_det and det_dlog, behind
+    Newton and the reported residuals, stay on the full I + M.
     """
 
     def __init__(self, coin: CoinField):
@@ -333,8 +366,29 @@ class DeterminantFamily:
         self._power_index = expo.astype(int)
         self._dexpo = 1j * expo
         self._top = int(expo.max()) if expo.size else 0
+        self._walk: Optional[np.ndarray] = None
         self._candidates: Optional[np.ndarray] = None
-        self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+        self._table: Optional[Tuple[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = None
+
+    @classmethod
+    def of(cls, coin) -> "DeterminantFamily":
+        """The family of a coin field, built on first use and kept on the (immutable) field.
+
+        A family is its own.  Threads asking at once may each build one; the
+        last stays, and all are the same.
+        """
+        if isinstance(coin, cls):
+            return coin
+        if coin._family is None:
+            coin._family = cls(coin)
+        return coin._family
+
+    @property
+    def walk(self) -> np.ndarray:
+        """The box walk A of the coin field (see _box_walk), built once."""
+        if self._walk is None:
+            self._walk = _box_walk(self.coin)
+        return self._walk
 
     @property
     def candidates(self) -> np.ndarray:
@@ -374,28 +428,72 @@ class DeterminantFamily:
         return logabs, ang
 
     @property
-    def blocks(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(coeff, power index, i * expo) of the diagonal blocks of M, stacked by size.
+    def table(self) -> str:
+        """"A" if the windings run on the box walk's blocks, "M" if on M's; see blocks."""
+        return self._winding_table()[0]
 
-        Computed once, as candidates; see _diagonal_blocks.  Each entry
+    @property
+    def blocks(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(coeff, power index, i * expo) of the winding table's diagonal blocks, stacked by size.
+
+        The table is M's block triangular form or A's, D being the product
+        of either's diagonal blocks' determinants (see _diagonal_blocks).
+        A block of A enters as M_bb = -e^{i kappa} A_bb: coefficients -A_bb,
+        every exponent 1.  On elastic fields A's blocks are the closed
+        orbits, much smaller than M's; on the corner and barrier models
+        they are the larger.  So A's table is taken only where its sum of
+        blocks times size^3 (the cost of a batched solve) is strictly below
+        M's, and only after det(I + M) and the product of its blocks'
+        determinants agree at _GUARD_KAPPAS: the candidates come from A
+        too, and a box walk that lost a cycle would otherwise lose its
+        zeros from the candidates and the windings alike.  The table not
+        taken is never built.  Computed once, as candidates; each entry
         holds every block of one size, with shape (blocks, size, size).
         """
-        if self._blocks is None:
-            stacks = []
-            for idx in _diagonal_blocks(self.coeff):
-                rows, cols = idx[:, :, None], idx[:, None, :]
-                stacks.append((self.coeff[rows, cols], self._power_index[rows, cols],
-                               self._dexpo[rows, cols]))
-            self._blocks = stacks
-        return self._blocks
+        return self._winding_table()[1]
+
+    def _winding_table(self) -> Tuple[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        if self._table is None:
+            split = _diagonal_blocks(self.coeff)
+            cost = _solve_cost(split)
+            # No block of A can cost less than no block of M.
+            walk_split = _diagonal_blocks(self.walk) if cost else split
+            if _solve_cost(walk_split) < cost:
+                stacks = [(-self.walk[rows, cols], _UNIT_EXPONENT, 1j)
+                          for rows, cols in map(_gather, walk_split)]
+                self._check_walk_table(stacks)
+                self._table = ("A", stacks)
+            else:
+                self._table = ("M", [
+                    (self.coeff[rows, cols], self._power_index[rows, cols], self._dexpo[rows, cols])
+                    for rows, cols in map(_gather, split)])
+        return self._table
+
+    def _check_walk_table(self, stacks) -> None:
+        """NumericalFailure unless det(I + M) = prod_b det(I - e^{i kappa} A_bb) at _GUARD_KAPPAS."""
+        full = np.linalg.det(self.matrices(_GUARD_KAPPAS) + np.eye(self.m))
+        powers = self._powers(_GUARD_KAPPAS)
+        split = np.ones(len(_GUARD_KAPPAS), dtype=complex)
+        for coeff, index, _ in stacks:
+            split *= np.linalg.det(coeff * powers[:, index] + np.eye(coeff.shape[-1])).prod(axis=1)
+        gap = np.abs(split - full) / np.abs(full)
+        if not np.all(gap <= _GUARD_TOL):
+            k = int(np.argmin(gap <= _GUARD_TOL))
+            raise NumericalFailure(
+                f"the box walk's blocks give D = {split[k]:.6e} at kappa = {_GUARD_KAPPAS[k]}, "
+                f"where det(I + M) = {full[k]:.6e} (relative gap {gap[k]:.1e} above "
+                f"{_GUARD_TOL:.0e}); the box walk does not match the coin field"
+            )
 
     def dlogs(self, kappas: np.ndarray) -> np.ndarray:
         """d/dkappa log D = sum_b trace((I + M_bb)^{-1} M_bb') for a batch of kappas.
 
-        The sum runs over the diagonal blocks M_bb of M's block triangular
-        form, each block size one batched solve.  Solved in stacks of at
-        most _CHUNK_ENTRIES block entries; a stack in which some I + M_bb is
-        singular comes back as inf throughout.
+        The sum runs over the diagonal blocks of the winding table (see
+        blocks), each block size one batched solve; on A's blocks it is
+        -i sum_b trace((I - z A_bb)^{-1} z A_bb) with z = e^{i kappa}.  A
+        table with no block gives zeros: D = 1.  Solved in stacks of at most
+        _CHUNK_ENTRIES block entries; a stack in which some block is singular
+        comes back as inf throughout.
         """
         powers = self._powers(np.asarray(kappas, dtype=complex).reshape(-1))
         stacks = self.blocks
@@ -430,8 +528,8 @@ class DeterminantFamily:
 
 
 def det_value(coin: CoinField, kappa: complex) -> Tuple[complex, complex]:
-    """(D(kappa), d log D / d kappa) at a single point."""
-    return DeterminantFamily(coin).det_dlog(kappa)
+    """(D(kappa), d log D / d kappa) at a single point, on the family of DeterminantFamily.of."""
+    return DeterminantFamily.of(coin).det_dlog(kappa)
 
 
 def root_reported_at(root: Root, fam: DeterminantFamily, kappa: complex) -> Root:
@@ -639,9 +737,10 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     exactly the rectangles that count it inside.  If the integrand is not
     finite on the boundary, or the quadrature runs out of its depth or
     level budget, the rectangle is expanded by a tiny amount and retried;
-    persistent trouble raises NumericalFailure.  A field with no candidate
-    whose box walk (see _box_walk) has no cycle in its pattern is nilpotent
-    there, so D = 1 and no zero lies anywhere.
+    persistent trouble raises NumericalFailure.  A family whose winding
+    table (see DeterminantFamily.blocks) has no block has D = 1 exactly: its
+    pattern has no cycle, so no zero lies anywhere.  coin is a coin field,
+    whose family DeterminantFamily.of builds once, or a family.
 
     A periodic rectangle (see KappaRect.periodic; the default strip is one)
     is first counted by the periodic rule: the trapezoid sums of
@@ -655,8 +754,8 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     Such a band holds its zeros in [re_min, re_min + 2 pi): a zero on its
     seam is counted once.
     """
-    fam = coin if isinstance(coin, DeterminantFamily) else DeterminantFamily(coin)
-    if fam.trivial or (not fam.candidates.size and not _diagonal_blocks(_box_walk(fam.coin))):
+    fam = DeterminantFamily.of(coin)
+    if not fam.blocks:
         return 0
     delta = max(1e-8, 1e-7 * max(region.width, region.height))
     retries = [delta * k for k in range(1, _BOUNDARY_RETRIES + 1)]
@@ -714,7 +813,7 @@ def _zero_candidates(fam: DeterminantFamily) -> np.ndarray:
 
     Real parts come back in [-pi, pi).
     """
-    ws = np.linalg.eigvals(_box_walk(fam.coin))
+    ws = np.linalg.eigvals(fam.walk)
     ws = ws[ws != 0]
     return -np.angle(ws) + 1j * np.log(np.abs(ws))
 
@@ -878,7 +977,7 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
     count once.  Anything that cannot be certified raises NumericalFailure
     instead of degrading the answer silently.
     """
-    fam = DeterminantFamily(coin) if not isinstance(coin, DeterminantFamily) else coin
+    fam = DeterminantFamily.of(coin)
     rect = default_strip() if region is None else region
     frame = 0.0 if region is None else rect.re_min if rect.periodic else None
     if fam.trivial:

@@ -25,7 +25,7 @@ from qwres.lattice import (
     apply_walk,
     evolve,
 )
-from qwres.spectral import DeterminantFamily, KappaRect, winding_number
+from qwres.spectral import DeterminantFamily, KappaRect, locate_roots, winding_number
 
 # The rectangular loop with corners (0,0), (2,0), (2,2), (0,2): each corner
 # turns the circulating chirality by ninety degrees.
@@ -212,6 +212,21 @@ def test_box_walk_blocks_are_the_closed_orbits():
         sizes = sorted(stack.shape[1] for stack in blocks for _ in stack)
         assert sizes == sorted(orbit.period for orbit in report.orbits), seed
         assert (not blocks) == report.non_trapping, seed
+
+
+@pytest.mark.parametrize("seed,count", [(0, 6), (1, 22), (2, 8), (3, 6), (4, 16), (5, 12), (6, 14),
+                                        (7, 14)])
+def test_full_strips_hold_the_orbit_spectrum(seed, count):
+    # Every zero of D is an orbit eigenphase on the axis, one per orbit
+    # state.  The windings run on the box walk's blocks, the orbits
+    # themselves: on M's blocks of up to 70 indices (log D)' deep in the
+    # strip is rounding noise, and the contour levels of seeds 0 and 1 grow
+    # past _LEVEL_CAP.
+    coin = random_permutation_coin(2, seed)
+    assert sum(orbit.period for orbit in classify_trapping(coin).orbits) == count
+    roots = locate_roots(coin.to_coin_field())
+    assert sum(root.multiplicity for root in roots) == count
+    assert all(root.kind == "eigenvalue" for root in roots)
 
 
 def test_non_trapping_field_has_no_spectrum_in_the_strip():

@@ -715,3 +715,45 @@ def test_from_entries_rejects_bad_sites_and_unequal_lengths():
         WalkState.from_entries([(2**63, 0)], [UP], [1.0])
     with pytest.raises(ValueError, match="2 values"):
         WalkState.from_entries([(0, 0)], [UP], [1.0, 2.0])
+
+
+def _few_entry_cases():
+    """One or two entries: on one site or two, on one chirality or two, with signed zeros and non-finite values."""
+    rng = np.random.default_rng(18)
+    specials = [0j, complex(-0.0, -0.0), complex(-0.0, 1.0), complex("nan+1j"), complex("inf-0j")]
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(1, 3))
+        sites = [(int(rng.integers(-1, 2)), int(rng.integers(-1, 2))) for _ in range(n)]
+        chiralities = [int(rng.integers(0, 4)) if rng.random() < 0.7 else UP for _ in range(n)]
+        values = [specials[rng.integers(len(specials))] if rng.random() < 0.3
+                  else complex(*rng.standard_normal(2)) for _ in range(n)]
+        if n == 2 and rng.random() < 0.3:
+            sites[1], chiralities[1], values[1] = sites[0], chiralities[0], -values[0]
+        cases.append((sites, chiralities, values))
+    return cases
+
+
+def test_few_entries_take_the_general_path_to_the_bit(monkeypatch):
+    # from_entries sums up to _FEW_ENTRIES entries in Python; with the
+    # threshold at 0 every input takes the sorting path instead.
+    assert lattice._FEW_ENTRIES == 2
+    cases = _few_entry_cases()
+    with np.errstate(invalid="ignore"):
+        few = [WalkState.from_entries(*case) for case in cases]
+        monkeypatch.setattr(lattice, "_FEW_ENTRIES", 0)
+        general = [WalkState.from_entries(*case) for case in cases]
+    assert sum(len(u) == 0 for u in few) > 5 and sum(len(u) == 2 for u in few) > 5
+    for case, u, v in zip(cases, few, general):
+        for a, b in ((u._sites, v._sites), (u._amps, v._amps)):
+            assert a.dtype == b.dtype and a.shape == b.shape, case
+            assert _nan_blind_bytes(a) == _nan_blind_bytes(b), case
+            assert not a.flags.writeable and a.flags.c_contiguous
+
+
+def _nan_blind_bytes(a):
+    """The bytes of a with every NaN made one NaN: the sum of two NaNs keeps either's sign."""
+    if a.dtype.kind != "c":
+        return a.tobytes()
+    parts = a.view(np.float64)
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()

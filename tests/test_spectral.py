@@ -1,5 +1,7 @@
+import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -388,8 +390,9 @@ def sampled_field(radius, seed, density, kind):
     points=st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 1.0)), min_size=1, max_size=8),
 )
 def test_block_dlogs_match_the_full_matrix(radius, seed, density, kind, points):
-    # Two engines for (log D)': the diagonal blocks of M behind every
-    # winding, and the full I + M behind Newton, at Im kappa from -0.6 to 1.
+    # Two engines for (log D)': the diagonal blocks of the winding table (M's,
+    # or A's where those cost less), and the full I + M behind Newton, at
+    # Im kappa from -0.6 to 1.
     # Elastic radius-2 fields stop at -0.3: below it I + M reaches condition
     # numbers of 1e11, and the engines part by up to 6e-9 (600 sampled
     # fields), as both part from an LU of I - zA.  Where (log D)' vanishes
@@ -445,6 +448,153 @@ def test_dlogs_is_inf_throughout_a_singular_chunk(monkeypatch):
     finite = np.delete(np.arange(len(kappas)), 1)
     full = [fam.det_dlog(kappa)[1] for kappa in kappas[finite]]
     np.testing.assert_allclose(values[finite], full, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Windings on the box walk's blocks, and one family per coin field
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build,table", [
+    *((lambda p=p: make_corner_family(2, 2, 0.2, p).coin, "M") for p in CORNER_PRESETS),
+    *((lambda s=s: random_coin_field(1, seed=s), "M") for s in range(3)),
+    (lambda: make_shape_family(BarrierSpec(1), 0.15).coin, "M"),
+    (lambda: CoinField(1, {}), "M"),
+    *((lambda s=s: random_permutation_coin(2, s).to_coin_field(), "A") for s in (0, 1, 24)),
+], ids=[*(f"corner-{p}" for p in CORNER_PRESETS), "r1-0", "r1-1", "r1-2", "shape-1", "identity",
+        "elastic-0", "elastic-1", "elastic-24"])
+def test_windings_take_the_cheaper_table(build, table):
+    # A's blocks are the closed orbits of an elastic field, of 2 to 24
+    # indices; a corner's are its two circulations of 8, where M has two
+    # blocks of 4.  A tie keeps M.
+    fam = DeterminantFamily(build())
+    assert fam.table == table
+    m_cost = spectral._solve_cost(spectral._diagonal_blocks(fam.coeff))
+    if m_cost:
+        a_cost = spectral._solve_cost(spectral._diagonal_blocks(fam.walk))
+        assert (a_cost < m_cost) == (table == "A")
+    sizes = [stack.shape[1:] for stack, _, _ in fam.blocks]
+    source = fam.walk if table == "A" else fam.coeff
+    assert sizes == [(s, s) for s in (idx.shape[1] for idx in spectral._diagonal_blocks(source))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    radius=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["permutation", "permutation with phases"]),
+    points=st.lists(st.tuples(st.floats(0.0, 2 * np.pi),
+                              st.floats(-0.3, 1.0).filter(lambda y: abs(y) >= 0.05)),
+                    min_size=1, max_size=8),
+)
+def test_walk_table_dlogs_match_the_full_matrix(radius, seed, kind, points):
+    # -i sum_b tr((I - z A_bb)^{-1} z A_bb) on A's blocks against
+    # tr((I + M)^{-1} M') on the full matrix, on fields that take A's table,
+    # off the axis: without phases a permutation field has exact zeros on it.
+    fam = DeterminantFamily(sampled_field(radius, seed, 1.0, kind))
+    assume(fam.table == "A")
+    kappas = np.array([complex(re, im) for re, im in points])
+    full = np.array([fam.det_dlog(kappa)[1] for kappa in kappas])
+    np.testing.assert_allclose(fam.dlogs(kappas), full, rtol=1e-10, atol=1e-10)
+
+
+def test_a_walk_table_without_a_block_gives_zeros():
+    # Every site holds a permutation coin, yet no path through the box
+    # closes: A is nilpotent, D = 1, and M still is not zero.
+    fam = DeterminantFamily(sampled_field(2, 20, 1.0, "permutation"))
+    assert not fam.trivial and fam.table == "A" and fam.blocks == []
+    kappas = np.array([0.3, 1.0 - 0.5j, 4.0 - 2.0j])
+    assert np.array_equal(fam.dlogs(kappas), np.zeros(3, dtype=complex))
+    assert winding_number(fam, spectral.default_strip()) == 0
+
+
+def test_walk_table_dlogs_is_inf_throughout_a_singular_chunk(monkeypatch):
+    # Permutation coins without phases: every closed orbit has an exact
+    # zero at kappa = 0, where I - A_bb is exactly singular.
+    fam = DeterminantFamily(sampled_field(1, 6, 1.0, "permutation"))
+    assert fam.table == "A" and [stack.shape for stack, _, _ in fam.blocks] == [(2, 2, 2)]
+    kappas = np.array([0.3, 0.0, 1.0 - 0.2j, 2.0])
+    assert np.all(np.isinf(fam.dlogs(kappas)))
+    monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 1)
+    values = fam.dlogs(kappas)
+    assert np.isinf(values[1])
+    finite = np.delete(np.arange(len(kappas)), 1)
+    full = [fam.det_dlog(kappa)[1] for kappa in kappas[finite]]
+    np.testing.assert_allclose(values[finite], full, rtol=1e-12)
+
+
+def cycle_entries(a):
+    """(row, col) of each nonzero entry of a inside a diagonal block of its pattern."""
+    return [(int(idx[r]), int(idx[c])) for stack in spectral._diagonal_blocks(a) for idx in stack
+            for r, c in zip(*np.nonzero(a[np.ix_(idx, idx)]))]
+
+
+ELASTIC_SEED = 2
+ELASTIC_CYCLE_ENTRIES = cycle_entries(
+    spectral._box_walk(random_permutation_coin(2, ELASTIC_SEED).to_coin_field()))
+
+
+@pytest.mark.parametrize("entry", ELASTIC_CYCLE_ENTRIES)
+def test_a_box_walk_that_lost_a_cycle_entry_is_refused(monkeypatch, entry):
+    # The candidates and the windings both come from A, so a broken
+    # compress_walk would lose the same zeros from both; det(I + M) at the
+    # guard points tells.
+    assert len(ELASTIC_CYCLE_ENTRIES) == 8  # orbits of 2, 2 and 4
+    field = random_permutation_coin(2, ELASTIC_SEED).to_coin_field()
+    real = spectral.compress_walk
+
+    def broken(coin, pairs):
+        a, rest = real(coin, pairs)
+        a = a.copy()
+        a[entry] = 0
+        return a, rest
+
+    monkeypatch.setattr(spectral, "compress_walk", broken)
+    with pytest.raises(NumericalFailure, match="box walk does not match"):
+        winding_number(field, spectral.default_strip())
+
+
+def test_clean_elastic_fields_pass_the_guard():
+    # Seed 16 is the field whose gap reaches 0.74 at 4.1 - 1.1i, below the
+    # axis; above it the gap stays at rounding level.
+    for seed in range(60):
+        fam = DeterminantFamily(random_permutation_coin(2, seed).to_coin_field())
+        assert fam.table == "A", seed
+
+
+def test_one_family_serves_every_call_on_a_coin_field(monkeypatch):
+    built = []
+    init = DeterminantFamily.__init__
+
+    def spy(self, coin):
+        built.append(coin)
+        init(self, coin)
+
+    monkeypatch.setattr(DeterminantFamily, "__init__", spy)
+    field = random_permutation_coin(2, 3).to_coin_field()
+    zero = complex(DeterminantFamily.of(field).candidates[0].real, 0.0)
+    assert winding_number(field, KappaRect.around(zero, 1e-3)) >= 1
+    assert winding_number(field, spectral.default_strip()) == 6
+    assert abs(det_value(field, zero)[0]) < 1e-8
+    assert built == [field]
+    fam = DeterminantFamily.of(field)
+    assert DeterminantFamily.of(fam) is fam and fam.coin is field
+
+
+def test_threads_sharing_a_coin_field_agree():
+    # Threads that ask for a field's family at once may each build one; the
+    # builds are equal, so every winding counts the same.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        field = random_permutation_coin(2, 3).to_coin_field()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(winding_number, field, spectral.default_strip()) for _ in range(16)]
+            counts = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [6] * 16
+    assert DeterminantFamily.of(field).coin is field
 
 
 @pytest.mark.parametrize("seed", [24, 33])
@@ -617,8 +767,8 @@ def test_deflated_winding_survives_bad_candidates(monkeypatch, bad):
     # A wrong candidate list may cost points but never change the count: a
     # zero without a candidate keeps its pole in the integrand, and a point
     # that is no zero adds a pole that winds away its own inside count.  No
-    # candidate at all does not make D = 1 either: that is read off the box
-    # walk's pattern.
+    # candidate at all does not make D = 1 either: that is read off the
+    # winding table's pattern.
     full = spectral._zero_candidates
     spurious = 1.0 + 5e-7j  # inside the strip, 5e-7 below its top edge
 
@@ -670,13 +820,13 @@ def test_tiny_square_deflates_its_own_zero(monkeypatch, half):
 
 
 # The bad-candidate stress: fields, with the depth of their strip.  The
-# elastic field's full strip is left out: deep in it (log D)' from I + M is
-# rounding noise, and its winding refuses only after minutes.
+# elastic field's windings run on its box walk's blocks, its orbits, where
+# (log D)' stays accurate over the full strip.
 STRESS_FIELDS = [
     ("one-corner 2x2 eps 0.2", lambda: make_corner_family(2, 2, 0.2, "one-corner").coin, 2.0),
     ("closed corner 2x2", lambda: make_corner_family(2, 2, 0.0, "one-corner").coin, 2.0),
     ("random r1 seed 3", lambda: random_coin_field(1, seed=3), 0.5),
-    ("elastic r2 seed 1", lambda: random_permutation_coin(2, 1).to_coin_field(), None),
+    ("elastic r2 seed 1", lambda: random_permutation_coin(2, 1).to_coin_field(), 2.0),
 ]
 STRESS_HALF_WIDTHS = (1e-8, 1e-6, 1e-3, 0.05)
 STRESS_TRIALS = 48
