@@ -439,8 +439,24 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     moving in, then the free-flight targets of what was banked at t = 0 and
     of the outflow by step.  A site keeps the place where it first occurs,
     and amplitudes that meet at a site are added in that order.  It is
-    built as the state's two arrays, without an object per site.  Site
-    coordinates must fit in 64-bit integers.
+    built as the state's two arrays, without an object per site, after the
+    bank block is freed, and with no sort of the outflow, by four facts
+    (r = M0 + 1 is the window's radius):
+
+    - the outflow of the four sides lands in disjoint bands, x < -r and
+      x > r with |y| <= r, y < -r and y > r with |x| <= r, none of which
+      meets the window;
+    - two exits of one column leave at different steps and fly different
+      distances, so every nonzero bank entry has a site of its own, and the
+      bank's flat index step * 4n + column increases;
+    - so only a lead (amplitude banked at t = 0 or still moving in) can
+      share a site with the outflow, with at most one entry of it, whose
+      step and column follow from the site; a binary search of the bank's
+      index says whether that entry is nonzero;
+    - a banked lead can cross the window's ring, so the window's and the
+      leads' sites, and only these, are numbered by first appearance.
+
+    Site coordinates must fit in 64-bit integers.
     """
     if int(t) != t or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t}")
@@ -556,25 +572,75 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
                 active = windows[row - p + left % p]
                 break
 
-    # Every amplitude outside the window, in the order it is added: what is
-    # still moving in, what left at t = 0, then the window's outflow by step.
-    # Each flies freely for the rest of the time.
-    step_row, col = np.divmod(np.concatenate(bank_flat), width)
+    # The window's last state outlives the bank block, which goes first.
+    active = active.copy()
+    del block, windows, window_bits, mixed, mixed_window
+    flat = np.concatenate(bank_flat)
     del bank_flat
-    leave = exit_idx[col]
-    flight = t - 1 - step_row
-    chir = np.concatenate([out_j[lead], wj[leave]])
-    amps = np.concatenate([out_a[lead], *bank_amps])
+    outflow = np.concatenate(bank_amps)
     del bank_amps
-    ax, ay = np.nonzero(np.any(active != 0, axis=2))
-    site_x = np.concatenate([ax - r, lead_xy[:, 0], to_x[leave] - r + steps[wj[leave], 0] * flight])
-    site_y = np.concatenate([ay - r, lead_xy[:, 1], to_y[leave] - r + steps[wj[leave], 1] * flight])
 
-    first, slot = _first_appearances(site_x, site_y)
-    amp = np.zeros((first.size, 4), dtype=complex)
-    amp[: ax.size] = active[ax, ay]  # the window's sites come first, once each
-    np.add.at(amp, (slot[ax.size :], chir), amps)
-    return WalkState._of_rows(np.stack([site_x[first], site_y[first]], axis=1), amp)
+    # Exit column c leaves the window for the site (exit_x, exit_y)[c] with
+    # chirality exit_j[c]; banked at step s, it flies t - 1 - s more steps.
+    exit_j = wj[exit_idx]
+    exit_x, exit_y = to_x[exit_idx] - r, to_y[exit_idx] - r
+    column = np.empty((4, n), dtype=np.intp)
+    column[exit_j, np.where(np.array(STEP_AXIS)[exit_j] == 0, exit_y, exit_x) + r] = np.arange(width)
+
+    # The window's sites, then the leads': what is still moving in, then
+    # what was banked at t = 0.  Leads may land in the window or on each
+    # other, so these sites are numbered by first appearance.
+    ax, ay = np.nonzero(np.any(active != 0, axis=2))
+    near_x = np.concatenate([ax - r, lead_xy[:, 0]])
+    near_y = np.concatenate([ay - r, lead_xy[:, 1]])
+    first, slot = _first_appearances(near_x, near_y)
+    near = np.zeros((first.size, 4), dtype=complex)
+    near[: ax.size] = active[ax, ay]  # the window's sites come first, once each
+    np.add.at(near, (slot[ax.size :], out_j[lead]), out_a[lead])
+
+    # A lead with one coordinate in [-r, r] and the other at most t steps
+    # beyond that range lies on the band beyond one side of the window, on
+    # the site where that side's exit column puts the outflow of one step.
+    # If the bank holds that entry, it is added after the leads.
+    lx, ly = lead_xy.T
+    in_x, in_y = (-r <= lx) & (lx <= r), (-r <= ly) & (ly <= r)
+    along = np.where(in_y, lx, ly)
+    meets = np.flatnonzero((in_x ^ in_y) & (-r - t <= along) & (along <= r + t))
+    along = along[meets]
+    j = 2 * in_x[meets] + (along > 0)  # LEFT, RIGHT, DOWN, UP
+    across = np.where(in_y[meets], ly[meets], lx[meets])
+    key = (t + r - np.abs(along)) * width + column[j, across + r]
+    at = np.searchsorted(flat, key)
+    found = at < flat.size
+    found[found] = flat[at[found]] == key[found]
+    hit = at[found]
+    if hit.size:
+        # Leads on one site meet the same entry; += adds it once, as the
+        # indexed update is buffered.
+        near[slot[ax.size + meets[found]], j[found]] += outflow[hit]
+        rest = np.ones(flat.size, dtype=bool)
+        rest[hit] = False
+        flat, outflow = flat[rest], outflow[rest]
+    keep = np.any(near != 0, axis=1)
+    kept = int(np.count_nonzero(keep))
+
+    # The rest of the outflow lands on sites of its own, nonzero and
+    # distinct, in bank order after them.  Each row holds 0 + a for its one
+    # amplitude a, as every amplitude is added to a zero row; a + 0 has
+    # the same bits.
+    sites = np.empty((kept + flat.size, 2), dtype=np.int64)
+    amps = np.zeros((kept + flat.size, 4), dtype=complex)
+    sites[:kept, 0], sites[:kept, 1] = near_x[first[keep]], near_y[first[keep]]
+    amps[:kept] = near[keep]
+    col = flat % width
+    flight = np.subtract(t - 1, flat // width, out=flat)
+    for dim, exit_at in enumerate((exit_x, exit_y)):
+        np.multiply(steps[exit_j, dim][col], flight, out=sites[kept:, dim])
+        sites[kept:, dim] += exit_at[col]
+    del flat, flight
+    outflow += 0
+    amps[kept:][np.arange(col.size), exit_j[col]] = outflow
+    return WalkState._adopt(sites, amps)
 
 
 def _first_appearances(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -364,7 +364,6 @@ class DeterminantFamily:
         self.coeff = coeff
         self.trivial = not np.any(coeff)
         self._power_index = expo.astype(int)
-        self._dexpo = 1j * expo
         self._top = int(expo.max()) if expo.size else 0
         self._walk: Optional[np.ndarray] = None
         self._candidates: Optional[np.ndarray] = None
@@ -465,7 +464,7 @@ class DeterminantFamily:
                 self._table = ("A", stacks)
             else:
                 self._table = ("M", [
-                    (self.coeff[rows, cols], self._power_index[rows, cols], self._dexpo[rows, cols])
+                    (self.coeff[rows, cols], self._power_index[rows, cols], 1j * self.expo[rows, cols])
                     for rows, cols in map(_gather, split)])
         return self._table
 
@@ -517,7 +516,7 @@ class DeterminantFamily:
         shifted = mats + np.eye(self.m)
         sign, logabs = np.linalg.slogdet(shifted)
         try:
-            dlog = complex(np.trace(np.linalg.solve(shifted, self._dexpo * mats)))
+            dlog = complex(np.trace(np.linalg.solve(shifted, 1j * self.expo * mats)))
         except np.linalg.LinAlgError:
             dlog = complex(np.inf)
         return complex(sign * np.exp(logabs)), dlog

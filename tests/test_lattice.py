@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -570,6 +571,64 @@ def test_evolve_sees_a_short_period_in_the_middle_of_a_block(monkeypatch, stride
         fast, steps = _evolve_counting_steps(monkeypatch, coin, u, t)
         assert _state_bytes(fast) == _state_bytes(reference), t
         assert steps == min(t, taken or lattice._BANK_ROWS), t
+
+
+def _criterion_04_field_3():
+    """Criterion 04's first field and its unit state on the nine central sites."""
+    coin = random_coin_field(1, 3)
+    rng = np.random.default_rng(4)
+    amp = {(x1, x2): rng.standard_normal(4) + 1j * rng.standard_normal(4)
+           for x1 in (-1, 0, 1) for x2 in (-1, 0, 1)}
+    raw = WalkState(amp)
+    return coin, WalkState({s: v / raw.norm() for s, v in amp.items()})
+
+
+def _evolve_meeting_leads(coin, rest, leads, t):
+    """evolve(rest + leads, t) equals the reference to the bit, and every lead
+    (an entry of leads) lands on a site that evolve(rest, t) reaches too."""
+    u = rest.plus(leads)
+    assert _state_bytes(evolve(WalkOperator(coin), u, t)) == _state_bytes(
+        _reference_evolve(coin, dict(u.items()), t))
+    reached = _reference_evolve(coin, dict(rest.items()), t)
+    for (x, y), vec in leads.items():
+        for j in np.flatnonzero(vec).tolist():
+            assert (x + STEPS[j][0] * t, y + STEPS[j][1] * t) in reached, ((x, y), j)
+
+
+@pytest.mark.parametrize("site, chirality, t", [
+    ((50, 0), LEFT, 30),  # moving in, arrives at step 48: outflow right of the window
+    ((50, 0), LEFT, 47),
+    ((5, -11), UP, 11),  # banked: crosses the band right of the window at x = 5
+    ((-10, 2), RIGHT, 10),  # banked: runs along the window's top ring to (0, 2)
+])
+def test_evolve_adds_a_lead_to_the_site_it_shares_to_the_bit(site, chirality, t):
+    _evolve_meeting_leads(random_coin_field(1, 3), WalkState.delta((0, 0), RIGHT),
+                          WalkState.delta(site, chirality, 0.5j), t)
+
+
+def test_evolve_adds_leads_to_outflow_copied_from_a_repeat_to_the_bit():
+    # Criterion 04's field 3 repeats from step 6,463 on, so the outflow of
+    # step 9,000 at (1002, 0) is a copy.  A banked up-mover and a left-mover
+    # that has not arrived both land on it, and a third lead on (-3002, -1).
+    coin, u = _criterion_04_field_3()
+    t = 10_000
+    leads = (WalkState.delta((1002, -t), UP, 0.5j)
+             .plus(WalkState.delta((1002 + t, 0), LEFT, 0.25))
+             .plus(WalkState.delta((-3002, -1 - t), UP, 1e-300)))
+    _evolve_meeting_leads(coin, u, leads, t)
+
+
+def test_evolve_peaks_below_twice_its_result():
+    # The bank block is freed and the outflow written straight into the
+    # result, so the temporaries stay below the result's own size.
+    coin, u = _criterion_04_field_3()
+    tracemalloc.start()
+    try:
+        out = evolve(WalkOperator(coin), u, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (out._sites.nbytes + out._amps.nbytes)
 
 
 @pytest.mark.parametrize("seed", range(10))

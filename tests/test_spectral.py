@@ -581,6 +581,17 @@ def test_one_family_serves_every_call_on_a_coin_field(monkeypatch):
     assert DeterminantFamily.of(fam) is fam and fam.coin is field
 
 
+def test_a_family_keeps_one_exponent_table_of_each_type():
+    # After a winding an elastic r2 family (m = 100) holds expo (float) and
+    # _power_index (int), 8 bytes an entry each, coeff and the box walk, 16
+    # each, and the candidates; i * expo is formed where it is read.
+    field = random_permutation_coin(2, 1).to_coin_field()
+    fam = DeterminantFamily.of(field)
+    assert winding_number(field, KappaRect(0.1, 0.5, 0.0, 0.5)) == 0
+    held = sum(v.nbytes for v in vars(fam).values() if isinstance(v, np.ndarray))
+    assert held <= (2 * 8 + 2 * 16) * fam.m**2 + fam.candidates.nbytes
+
+
 def test_threads_sharing_a_coin_field_agree():
     # Threads that ask for a field's family at once may each build one; the
     # builds are equal, so every winding counts the same.
