@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import (
     CHIRALITIES,
@@ -208,6 +207,8 @@ class InteriorSpectrum:
                 raise NumericalFailure(
                     f"interior matrix failed a unitarity check by {worst:.3e}"
                 )
+        import scipy.linalg  # only where a Schur form is taken, as in ResolventPairing
+
         t, z = scipy.linalg.schur(matrix, output="complex")
         off = t - np.diag(np.diagonal(t))
         if np.max(np.abs(off)) > _SPECTRUM_TOL:

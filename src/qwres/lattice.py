@@ -39,13 +39,6 @@ _NORM_CHUNK = 1 << 10
 
 _INT64 = np.iinfo(np.int64)
 
-# WalkState.from_entries checks and sums at most this many entries in
-# Python: each numpy reduction costs microseconds, most of a delta's time.
-# The float additions are the same and in the same order, so are the bits,
-# except which of two NaNs their sum keeps.
-_FEW_ENTRIES = 2
-
-
 def _integer_site(site) -> Site:
     """The site as a pair of ints; ValueError for a coordinate that is not an integer."""
     coords = []
@@ -136,20 +129,11 @@ class WalkState:
         of different lengths.
         """
         xy, j = _site_array(sites), np.asarray(chiralities).reshape(-1)
-        few = j.size <= _FEW_ENTRIES
-        if j.size and (j.dtype.kind not in "iu" or (
-                not all(0 <= c <= 3 for c in j.tolist()) if few else np.any((j < 0) | (j > 3)))):
+        if j.size and (j.dtype.kind not in "iu" or np.any((j < 0) | (j > 3))):
             raise ValueError(f"chiralities are the integers 0 to 3, got {j.tolist()}")
         values = np.asarray(values, dtype=complex).reshape(-1)
         if not len(xy) == len(j) == len(values):
             raise ValueError(f"{len(xy)} sites, {len(j)} chiralities and {len(values)} values")
-        if few:
-            rows: Dict[Site, list] = {}
-            for site, c, v in zip(map(tuple, xy.tolist()), j.tolist(), values.tolist()):
-                rows.setdefault(site, [0j] * 4)[c] += v
-            kept = {site: row for site, row in rows.items() if any(row)}
-            return cls._adopt(np.array(list(kept), dtype=np.int64).reshape(-1, 2),
-                              np.array(list(kept.values()), dtype=complex).reshape(-1, 4))
         first, slot = _first_appearances(xy[:, 0], xy[:, 1])
         amps = np.zeros((first.size, 4), dtype=complex)
         np.add.at(amps, (slot, j.astype(np.intp)), values)

@@ -99,7 +99,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import (CHIRALITIES, STEP_AXIS, STEP_SIGN, STEPS, CoinField, WalkState, box_edges,
                       compress_walk)
@@ -358,12 +357,10 @@ class DeterminantFamily:
         c = -(np.array([coin.coin_at(site) for site in sites], dtype=complex).reshape(-1, 4, 4)
               - np.eye(4)).transpose(1, 0, 2)[None]
         keep = (n > 0)[..., None] & (c != 0)
-        expo = np.where(keep, n[..., None], 0.0).reshape(m, m)
+        expo = np.where(keep, n[..., None], 0).reshape(m, m)
         coeff = np.where(keep, c, 0.0).reshape(m, m)
         self.expo = expo
         self.coeff = coeff
-        self.trivial = not np.any(coeff)
-        self._power_index = expo.astype(int)
         self._top = int(expo.max()) if expo.size else 0
         self._walk: Optional[np.ndarray] = None
         self._candidates: Optional[np.ndarray] = None
@@ -411,14 +408,10 @@ class DeterminantFamily:
     def matrices(self, kappas: np.ndarray) -> np.ndarray:
         """Stack of M(kappa), shape (len(kappas), m, m)."""
         kappas = np.asarray(kappas, dtype=complex).reshape(-1)
-        return self.coeff * self._powers(kappas)[:, self._power_index]
+        return self.coeff * self._powers(kappas)[:, self.expo]
 
     def logdet(self, kappas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(log|D|, arg D) for a batch of kappas, overflow free."""
-        kappas = np.asarray(kappas, dtype=complex).reshape(-1)
-        if self.trivial:
-            zero = np.zeros(kappas.shape, dtype=float)
-            return zero, zero.copy()
         a = self.matrices(kappas)
         a[:, np.arange(self.m), np.arange(self.m)] += 1.0
         sign, logabs = np.linalg.slogdet(a)
@@ -433,7 +426,7 @@ class DeterminantFamily:
 
     @property
     def blocks(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(coeff, power index, i * expo) of the winding table's diagonal blocks, stacked by size.
+        """(coeff, expo, i * expo) of the winding table's diagonal blocks, stacked by size.
 
         The table is M's block triangular form or A's, D being the product
         of either's diagonal blocks' determinants (see _diagonal_blocks).
@@ -464,7 +457,7 @@ class DeterminantFamily:
                 self._table = ("A", stacks)
             else:
                 self._table = ("M", [
-                    (self.coeff[rows, cols], self._power_index[rows, cols], 1j * self.expo[rows, cols])
+                    (self.coeff[rows, cols], self.expo[rows, cols], 1j * self.expo[rows, cols])
                     for rows, cols in map(_gather, split)])
         return self._table
 
@@ -512,7 +505,7 @@ class DeterminantFamily:
 
     def det_dlog(self, kappa: complex) -> Tuple[complex, complex]:
         """(D(kappa), d/dkappa log D(kappa)); D may overflow deep in the strip."""
-        mats = self.coeff * self._powers(np.array([kappa], dtype=complex))[0, self._power_index]
+        mats = self.coeff * self._powers(np.array([kappa], dtype=complex))[0, self.expo]
         shifted = mats + np.eye(self.m)
         sign, logabs = np.linalg.slogdet(shifted)
         try:
@@ -979,7 +972,7 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
     fam = DeterminantFamily.of(coin)
     rect = default_strip() if region is None else region
     frame = 0.0 if region is None else rect.re_min if rect.periodic else None
-    if fam.trivial:
+    if not fam.blocks:
         return []
 
     roots: List[Root] = []
@@ -1015,12 +1008,15 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
             distance = 1.0 / dlog if dlog else float("inf")
             # Hadamard: |D| <= prod_i ||row_i(I + M)||, so the ratio tells a
             # residual at rounding level of the scale from a real failure.
+            # No kappa in floating point gets |D| much below |D'| * ulp(kappa).
             rows = np.linalg.norm(fam.matrices(np.array([kappa]))[0] + np.eye(fam.m), axis=1)
             relative = np.exp(fam.logdet(np.array([kappa]))[0][0] - np.sum(np.log(rows)))
+            ulp = np.spacing(abs(kappa))
             raise NumericalFailure(
                 f"root at {kappa} has residual |D| = {residual:.3e} above {ROOT_RESIDUAL_TOL:.0e}; "
                 f"|D'| = {residual * dlog:.3e}, so the zero is about |D|/|D'| = {distance:.1e} "
-                f"away ({distance / np.spacing(abs(kappa)):.1f} ulps of kappa); relative to "
+                f"away ({distance / ulp:.1f} ulps of kappa), and the attainable floor is "
+                f"|D'| * ulp(kappa) = {residual * dlog * ulp:.1e}; relative to "
                 f"Hadamard's bound, |D| / prod_i ||row_i(I + M)|| = {relative:.1e}"
             )
         roots.append(Root(kappa, mult, residual, kind))
@@ -1101,6 +1097,8 @@ class ResolventPairing:
     def __init__(self, coin: CoinField, f: WalkState, g: WalkState):
         pairs, matrix, source = _box_system(coin, f, g.sites())
         probe = np.conj([g.component(x, j) for x, j in pairs])
+        import scipy.linalg  # only where a Schur form is taken: it is most of a start-up
+
         self.triangle, z = scipy.linalg.schur(matrix, output="complex")
         self.source = z.conj().T @ source
         self.weights = z.T @ probe

@@ -616,3 +616,23 @@ class TestModuleExecution:
         doc = json.loads(result.stdout)
         assert doc["payload"]["winding_total"] == 0
         assert "resonances" in result.stderr
+
+    def test_resonances_does_not_import_scipy(self):
+        # SciPy is imported only where a Schur form is taken, and importing
+        # it takes most of a command's start-up time.
+        script = (
+            "import io, json, sys, contextlib\n"
+            "from qwres.cli import run_cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = run_cli(['resonances', '--preset', 'one-corner', '--m0', '2', '--n0', '2',"
+            " '--eps', '0.2'])\n"
+            "print(json.dumps([code, len(json.loads(out.getvalue())['payload']['roots']),"
+            " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        code, roots, scipy_modules = json.loads(result.stdout)
+        assert code == 0 and roots > 0
+        assert scipy_modules == []

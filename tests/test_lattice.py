@@ -793,20 +793,21 @@ def _few_entry_cases():
     return cases
 
 
-def test_few_entries_take_the_general_path_to_the_bit(monkeypatch):
-    # from_entries sums up to _FEW_ENTRIES entries in Python; with the
-    # threshold at 0 every input takes the sorting path instead.
-    assert lattice._FEW_ENTRIES == 2
+def test_few_entries_equal_the_dict_reference_to_the_bit():
+    # A delta and a sum of two entries take the same numpy path as any other
+    # input; the sum of two NaNs may keep either's sign.
     cases = _few_entry_cases()
     with np.errstate(invalid="ignore"):
-        few = [WalkState.from_entries(*case) for case in cases]
-        monkeypatch.setattr(lattice, "_FEW_ENTRIES", 0)
-        general = [WalkState.from_entries(*case) for case in cases]
-    assert sum(len(u) == 0 for u in few) > 5 and sum(len(u) == 2 for u in few) > 5
-    for case, u, v in zip(cases, few, general):
-        for a, b in ((u._sites, v._sites), (u._amps, v._amps)):
-            assert a.dtype == b.dtype and a.shape == b.shape, case
-            assert _nan_blind_bytes(a) == _nan_blind_bytes(b), case
+        states = [WalkState.from_entries(*case) for case in cases]
+        references = [_reference_from_entries(*case) for case in cases]
+    assert sum(len(u) == 0 for u in states) > 5 and sum(len(u) == 2 for u in states) > 5
+    for case, u, reference in zip(cases, states, references):
+        assert list(u.sites()) == list(reference), case
+        assert u._sites.dtype == np.int64 and u._amps.dtype == complex, case
+        assert u._amps.shape == (len(reference), 4), case
+        assert _nan_blind_bytes(u._amps) == _nan_blind_bytes(
+            np.array(list(reference.values()), dtype=complex).reshape(-1, 4)), case
+        for a in (u._sites, u._amps):
             assert not a.flags.writeable and a.flags.c_contiguous
 
 

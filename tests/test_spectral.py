@@ -24,6 +24,7 @@ from qwres.lattice import (
     WalkState,
     apply_walk,
     compress_walk,
+    evolve,
     random_coin_field,
     random_unitary_coin,
 )
@@ -202,7 +203,7 @@ def test_free_resolvent_element_is_the_kernel_sum():
 def entrywise_tables(coin):
     """(expo, coeff) of M read off entry by entry from the free kernel's exponent."""
     pairs = [(site, j) for site in coin.override_sites() for j in CHIRALITIES]
-    expo = np.zeros((len(pairs), len(pairs)))
+    expo = np.zeros((len(pairs), len(pairs)), dtype=int)
     coeff = np.zeros((len(pairs), len(pairs)), dtype=complex)
     for row, (x, j) in enumerate(pairs):
         for col, (y, k) in enumerate(pairs):
@@ -353,7 +354,7 @@ def assert_half_period_parity(fam):
     kept = fam.coeff != 0
     assert np.all(fam.expo[~kept] == 0)
     expected = (parity[:, None] + parity[None, :]) % 2
-    assert np.array_equal(fam.expo.astype(int)[kept] % 2, expected[kept])
+    assert np.array_equal(fam.expo[kept] % 2, expected[kept])
 
 
 @pytest.mark.parametrize("build", PARITY_FIELDS, ids=[
@@ -502,7 +503,7 @@ def test_a_walk_table_without_a_block_gives_zeros():
     # Every site holds a permutation coin, yet no path through the box
     # closes: A is nilpotent, D = 1, and M still is not zero.
     fam = DeterminantFamily(sampled_field(2, 20, 1.0, "permutation"))
-    assert not fam.trivial and fam.table == "A" and fam.blocks == []
+    assert fam.coeff.any() and fam.table == "A" and fam.blocks == []
     kappas = np.array([0.3, 1.0 - 0.5j, 4.0 - 2.0j])
     assert np.array_equal(fam.dlogs(kappas), np.zeros(3, dtype=complex))
     assert winding_number(fam, spectral.default_strip()) == 0
@@ -582,14 +583,15 @@ def test_one_family_serves_every_call_on_a_coin_field(monkeypatch):
 
 
 def test_a_family_keeps_one_exponent_table_of_each_type():
-    # After a winding an elastic r2 family (m = 100) holds expo (float) and
-    # _power_index (int), 8 bytes an entry each, coeff and the box walk, 16
-    # each, and the candidates; i * expo is formed where it is read.
+    # After a winding an elastic r2 family (m = 100) holds expo (int), 8
+    # bytes an entry, which is also the gather index of the powers, coeff and
+    # the box walk, 16 each, and the candidates; i * expo is formed where it
+    # is read.
     field = random_permutation_coin(2, 1).to_coin_field()
     fam = DeterminantFamily.of(field)
     assert winding_number(field, KappaRect(0.1, 0.5, 0.0, 0.5)) == 0
     held = sum(v.nbytes for v in vars(fam).values() if isinstance(v, np.ndarray))
-    assert held <= (2 * 8 + 2 * 16) * fam.m**2 + fam.candidates.nbytes
+    assert held <= (8 + 2 * 16) * fam.m**2 + fam.candidates.nbytes
 
 
 def test_threads_sharing_a_coin_field_agree():
@@ -615,11 +617,22 @@ def test_a_box_walk_without_a_cycle_has_no_zero(seed):
     # adaptive winding cannot show that on the full strip's long edges.
     field = random_permutation_coin(2, seed).to_coin_field()
     fam = DeterminantFamily(field)
-    assert not fam.trivial and fam.candidates.size == 0
+    assert fam.coeff.any() and fam.candidates.size == 0
     start = time.perf_counter()
     assert locate_roots(fam) == []
     assert winding_number(field, spectral.default_strip()) == 0
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("seed", [24, 33])
+def test_a_winding_table_without_a_block_skips_the_eigensolve(monkeypatch, seed):
+    # locate_roots decides D = 1 by the rule winding_number uses, no block
+    # in the winding table, before it asks for candidates.
+    calls = []
+    monkeypatch.setattr(spectral, "_zero_candidates", lambda fam: calls.append(fam))
+    field = random_permutation_coin(2, seed).to_coin_field()
+    assert locate_roots(field) == []
+    assert calls == [] and DeterminantFamily.of(field).blocks == []
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -1269,8 +1282,47 @@ def assert_roots_match_the_companion(fam, depth, tol):
 @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.2, 1.0))
 def test_sampled_root_sets_agree_with_the_companion(seed, density):
     fam = DeterminantFamily(random_coin_field(1, seed, density=density))
-    assume(not fam.trivial)
+    assume(fam.coeff.any())
     assert_roots_match_the_companion(fam, 0.5, 1e-6)
+
+
+def window_norm(u, radius):
+    """The norm of u on the sites with max(|x1|, |x2|) <= radius."""
+    return float(np.sqrt(sum(np.sum(np.abs(vec) ** 2) for (x1, x2), vec in u.items()
+                             if max(abs(x1), abs(x2)) <= radius)))
+
+
+def decay_rates(coin, radius, times):
+    """log(n_b / n_a) / (b - a) over consecutive times of the window norm n from delta((0, 0), LEFT)."""
+    op, u = WalkOperator(coin), WalkState.delta((0, 0), LEFT)
+    norms = [window_norm(evolve(op, u, t), radius) for t in times]
+    return [np.log(nb / na) / (b - a) for na, nb, a, b in zip(norms, norms[1:], times, times[1:])]
+
+
+def test_the_window_decays_at_the_rate_of_the_roots():
+    # A third engine, sharing no code with the determinant: outside the box
+    # the coin is the identity, so what leaves the window never comes back,
+    # and the window's norm decays as e^{t Im kappa} for the slowest root.
+    # Every root of two-corner 2x2 at eps 0.2 has the same Im kappa.
+    coin = make_corner_family(2, 2, 0.2, "two-corner").coin
+    rates = decay_rates(coin, 3, (1000, 2000, 3000))
+    for root in locate_roots(coin):
+        assert root.kappa.imag == pytest.approx(-0.002551374658, abs=1e-12)
+        for rate in rates:
+            assert abs(rate - root.kappa.imag) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7])
+def test_r1_windows_decay_at_the_rate_of_the_slowest_root(seed):
+    # By t = 300 the other roots' shares have fallen far enough that the
+    # rate over 300 -> 400 is the slowest root's to 1e-3 (seed 1 is the
+    # closest, at 3.6e-5).
+    coin = random_coin_field(1, seed)
+    region = KappaRect(spectral.STRIP_SHIFT, spectral.STRIP_SHIFT + 2 * np.pi, -0.5,
+                       spectral.STRIP_IM_MAX)
+    slowest = max(root.kappa.imag for root in locate_roots(coin, region))
+    [rate] = decay_rates(coin, 2, (300, 400))
+    assert abs(rate - slowest) <= 1e-3
 
 
 def test_locate_roots_evaluates_few_points(monkeypatch):
@@ -1328,6 +1380,21 @@ def test_residual_refusal_reports_the_residual_relative_to_hadamard(monkeypatch)
     rows = np.linalg.norm(fam.matrices(np.array([kappa]))[0] + np.eye(fam.m), axis=1)
     assert reported == pytest.approx(fam.abs_det(kappa) / np.prod(rows), rel=0.06, abs=0.0)
     assert reported < 1e-12
+
+
+@pytest.mark.parametrize("seed, low, high", [(14, 1e-3, 1.0), (4, 0.0, 1e-8)])
+def test_residual_refusal_names_the_attainable_floor(seed, low, high):
+    # No kappa in floating point gets |D| much below |D'| ulp(kappa): on r1
+    # seed 14 (|D'| = 4.1e12) that floor is above the bound, so no Newton
+    # step could certify the zero; on seed 4 it is 8e-10, below the bound.
+    with pytest.raises(NumericalFailure) as refusal:
+        locate_roots(random_coin_field(1, seed))
+    message = str(refusal.value)
+    kappa = complex(message.split()[2])
+    derivative = float(message.split("|D'| = ")[1].split(",")[0])
+    floor = float(message.split("|D'| * ulp(kappa) = ")[1].split(";")[0])
+    assert floor == pytest.approx(derivative * np.spacing(abs(kappa)), rel=0.05)
+    assert low <= floor < high
 
 
 def test_winding_vanishes_above_the_axis():
