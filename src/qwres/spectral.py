@@ -54,10 +54,13 @@ over the candidates c_k, each exact candidate leaves (log D)' minus its
 periodic pole 1/2 cot((kappa - c_k)/2) equal to the constant i/2.  So the
 remainder is smooth and periodic along both lines, where the trapezoid rule
 converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014), and
-32 points per line suffice.  The count is its winding plus the candidates
-strictly between the lines.  The rule decides only when no candidate lies
-near either line and the 16- and 32-point sums agree on an integer;
-otherwise the adaptive rule counts as before.
+32 points per line suffice; 64 or 128 where a candidate comes close to a
+line.  The count is its winding plus the candidates strictly between the
+lines.  The rule decides only when no candidate lies too near either line
+and the sums on all and on every other point agree on an integer;
+otherwise the adaptive rule counts as before.  No zero lies above the real
+axis, so a band reaching above it is counted up to a top line clear of the
+eigenvalues on the axis.
 A root's multiplicity is certified first on a small circle, where the
 trapezoid rule converges geometrically, and by a small rectangle only if
 the 16- and 32-point sums disagree.
@@ -119,10 +122,22 @@ WINDING_INTEGER_TOL = 1e-3
 
 # Bounds on the batched contour quadrature: the new points of one level (a
 # zero next to the contour would otherwise let levels grow until the depth
-# budget runs out) and the array entries one batched step holds: a stack of
-# matrices to solve, or the residuals of a block of resolvent kappas.
+# budget runs out) and the array entries one batched step of (log D)' holds:
+# a stack of matrices to solve, or of pole terms.  At 1 << 13 each complex
+# temporary is at most 128 KiB, which glibc's allocator keeps for reuse.
+# Larger temporaries go back to the system when freed and are faulted in
+# again on the next call: on a 2-vCPU VM, a 32-point batch on the radius-1
+# random field of seed 3 (576 block entries a point) took 256 minor faults
+# and 1.1-1.3 ms a call at 1 << 16, 157-220 faults and 1.1-1.3 ms at
+# 1 << 14, and no fault and 0.9-1.0 ms at 1 << 13; 1 << 12 was no faster
+# (1.0-1.6 ms).
 _LEVEL_CAP = 1 << 14
-_CHUNK_ENTRIES = 1 << 16
+_CHUNK_ENTRIES = 1 << 13
+# The residuals of a block of resolvent kappas in ResolventPairing.values.
+# Its loop makes a few numpy calls per Schur step and block, so smaller
+# blocks only add calls: two shape.projection_difference calls on the
+# barrier of shape M0 1 took 23.5 ms at 1 << 13 and 21.1-21.8 ms here.
+_PAIRING_CHUNK_ENTRIES = 1 << 16
 # Perturbed rectangles winding_number tries after the first one.
 _BOUNDARY_RETRIES = 3
 
@@ -503,10 +518,19 @@ class DeterminantFamily:
                 out[lo : lo + chunk] = np.inf
         return out
 
+    def _shifted(self, kappa: complex) -> Tuple[np.ndarray, np.ndarray]:
+        """(M(kappa), I + M(kappa)) at one kappa."""
+        mats = self.coeff * self._powers(np.array([kappa], dtype=complex))[0, self.expo]
+        return mats, mats + np.eye(self.m)
+
+    def det(self, kappa: complex) -> complex:
+        """D(kappa) alone, to the bit the D of det_dlog; it may overflow deep in the strip."""
+        sign, logabs = np.linalg.slogdet(self._shifted(kappa)[1])
+        return complex(sign * np.exp(logabs))
+
     def det_dlog(self, kappa: complex) -> Tuple[complex, complex]:
         """(D(kappa), d/dkappa log D(kappa)); D may overflow deep in the strip."""
-        mats = self.coeff * self._powers(np.array([kappa], dtype=complex))[0, self.expo]
-        shifted = mats + np.eye(self.m)
+        mats, shifted = self._shifted(kappa)
         sign, logabs = np.linalg.slogdet(shifted)
         try:
             dlog = complex(np.trace(np.linalg.solve(shifted, 1j * self.expo * mats)))
@@ -533,8 +557,7 @@ def root_reported_at(root: Root, fam: DeterminantFamily, kappa: complex) -> Root
     Anyone re-checking |D(kappa)| from the output then reproduces a number
     bounded by the reported residual.
     """
-    value, _ = fam.det_dlog(kappa)
-    return replace(root, kappa=kappa, residual=max(float(root.residual), abs(value)))
+    return replace(root, kappa=kappa, residual=max(float(root.residual), abs(fam.det(kappa))))
 
 
 class _EdgeTrouble(Exception):
@@ -644,20 +667,24 @@ def _winding(fam: DeterminantFamily, rect: KappaRect, poles: np.ndarray = _NO_PO
     return _integer_turns(_contour_dlog_integral(fam, rect, poles), rect) + int(np.count_nonzero(inside))
 
 
-# Points per line of the periodic rule; the coarse sum takes every other one.
+# Points per line of the periodic rule, doubled from the first to the last
+# count while a candidate lies too near a line; the coarse sum takes every
+# other point.
 _PERIODIC_POINTS = 32
-# The periodic rule refuses a band with a candidate closer than this to
-# either line.  A trapezoid on a line cannot tell which side of it a pole
-# lies on: take a candidate at distance rho on one side and its zero just
-# across.  The zero's pole and the subtracted one then leave the N-point
-# sum (1 - s^2) / (2 (1 - 2 s cos(theta) + s^2)) >= tanh(N rho / 2) / 2
-# turns off the wrong integer, with s = e^{-N rho} and theta set by where
-# the pair sits between points.  Both sums stay farther than
-# WINDING_INTEGER_TOL from it once tanh(8 rho) > 2 WINDING_INTEGER_TOL,
-# that is rho > 2.5e-4 (3e-4 measured, on 400 offsets).  1e-2 keeps a factor
-# of 40.  On 200 seeded random radius-1 fields the nearest candidate stayed
-# 0.05 below the line 1e-6 above the axis, while a strip whose top line
-# passes 1e-6 above eigenvalues always falls back.
+_PERIODIC_MAX_POINTS = 128
+# With N points per line the periodic rule refuses a band with a candidate
+# closer than _PERIODIC_GAP * 32 / N to either line: 1e-2 at 32 points,
+# 5e-3 at 64 and 2.5e-3 at 128.  A trapezoid on a line cannot tell which
+# side of it a pole lies on: take a candidate at distance rho on one side
+# and its zero just across.  The zero's pole and the subtracted one then
+# leave the N-point sum (1 - s^2) / (2 (1 - 2 s cos(theta) + s^2))
+# >= tanh(N rho / 2) / 2 turns off the wrong integer, with s = e^{-N rho}
+# and theta set by where the pair sits between points.  Both the N- and the
+# N/2-point sums stay farther than WINDING_INTEGER_TOL from it once
+# tanh(N rho / 4) > 2 WINDING_INTEGER_TOL, that is N rho > 8e-3 (for N = 32,
+# rho > 2.5e-4; 3e-4 measured, on 400 offsets).  The gap keeps a factor of
+# 40 at every N.  On 200 seeded random radius-1 fields the nearest candidate
+# stayed 0.05 below the line 1e-6 above the axis.
 _PERIODIC_GAP = 1e-2
 
 
@@ -671,16 +698,22 @@ def _half_cot(u: np.ndarray) -> np.ndarray:
 def _periodic_winding(fam: DeterminantFamily, rect: KappaRect) -> Optional[int]:
     """Zeros of D in a band one period wide by the periodic rule, or None if it cannot tell.
 
-    Both lines are sampled at _PERIODIC_POINTS equispaced points, and every
-    candidate's periodic pole is subtracted once.  The second half of each
+    Both lines are sampled at n equispaced points, and every candidate's
+    periodic pole is subtracted once.  n starts at _PERIODIC_POINTS and
+    doubles while a candidate lies within _PERIODIC_GAP * 32 / n of a line;
+    past _PERIODIC_MAX_POINTS the rule declines.  The second half of each
     line's points lies pi from the first, where (log D)' repeats, so one
-    batch evaluates it on the first halves only.
+    batch of n points evaluates it on the first halves only.
     """
     cands = fam.candidates
     y = cands.imag
-    if np.any((np.abs(y - rect.im_min) < _PERIODIC_GAP) | (np.abs(y - rect.im_max) < _PERIODIC_GAP)):
-        return None
-    x = rect.re_min + TWO_PI * np.arange(_PERIODIC_POINTS) / _PERIODIC_POINTS
+    near = np.min(np.minimum(np.abs(y - rect.im_min), np.abs(y - rect.im_max)), initial=np.inf)
+    n = _PERIODIC_POINTS
+    while near < _PERIODIC_GAP * _PERIODIC_POINTS / n:
+        n *= 2
+        if n > _PERIODIC_MAX_POINTS:
+            return None
+    x = rect.re_min + TWO_PI * np.arange(n) / n
     # Indexed [line, half of the line, point].
     lines = np.concatenate([x + 1j * rect.im_min, x + 1j * rect.im_max]).reshape(2, 2, -1)
     dlogs = np.broadcast_to(fam.dlogs(lines[:, 0].reshape(-1)).reshape(2, 1, -1), lines.shape)
@@ -689,8 +722,8 @@ def _periodic_winding(fam: DeterminantFamily, rect: KappaRect) -> Optional[int]:
         values = dlogs.reshape(-1) - _half_cot(kappas[:, None] - cands).sum(axis=1)
         # Counterclockwise: the bottom line left to right, the top one back.
         bottom, top = np.split(values, 2)
-        coarse = (bottom[::2] - top[::2]).sum() * (2 * TWO_PI / _PERIODIC_POINTS)
-        fine = (bottom - top).sum() * (TWO_PI / _PERIODIC_POINTS)
+        coarse = (bottom[::2] - top[::2]).sum() * (2 * TWO_PI / n)
+        fine = (bottom - top).sum() * (TWO_PI / n)
     if not abs(coarse - fine) <= TWO_PI * WINDING_INTEGER_TOL:
         return None
     try:
@@ -737,18 +770,25 @@ def winding_number(coin: CoinField, region: KappaRect) -> int:
     A periodic rectangle (see KappaRect.periodic; the default strip is one)
     is first counted by the periodic rule: the trapezoid sums of
     (log D)' minus every candidate's pole 1/2 cot((kappa - c_k)/2) on its
-    two lines, 32 points each, plus the candidates strictly between them.
-    It decides only when no candidate lies within _PERIODIC_GAP of a line,
-    the 16- and 32-point sums agree to WINDING_INTEGER_TOL turns and the
-    32-point sum passes the integer checks; otherwise the adaptive rule
-    above counts a window pi wide (see _half_period_window) and doubles the
-    count, and a retry translates the window in Re instead of widening it.
-    Such a band holds its zeros in [re_min, re_min + 2 pi): a zero on its
-    seam is counted once.
+    two lines, n points each, plus the candidates strictly between them.
+    n is 32, doubled up to 128 while a candidate lies within
+    _PERIODIC_GAP * 32 / n of a line; past 128 the rule declines, as it does
+    unless the n/2- and n-point sums agree to WINDING_INTEGER_TOL turns and
+    the n-point sum passes the integer checks.  Where it declines, the
+    adaptive rule above counts a window pi wide (see _half_period_window)
+    and doubles the count, and a retry translates the window in Re instead
+    of widening it.  Such a band holds its zeros in [re_min, re_min + 2 pi):
+    a zero on its seam is counted once.  The walk is unitary, so no zero
+    lies above the axis: a periodic band whose top line lies above it is
+    counted, by either rule, up to Im kappa = max(im_max, 2 _PERIODIC_GAP),
+    clear of the eigenvalues on the axis that a line 1e-6 above it (the
+    default strip's) would pass inside the gap.
     """
     fam = DeterminantFamily.of(coin)
     if not fam.blocks:
         return 0
+    if region.periodic and region.im_max > 0:
+        region = replace(region, im_max=max(region.im_max, 2 * _PERIODIC_GAP))
     delta = max(1e-8, 1e-7 * max(region.width, region.height))
     retries = [delta * k for k in range(1, _BOUNDARY_RETRIES + 1)]
     if region.periodic:
@@ -962,12 +1002,17 @@ def locate_roots(coin: CoinField, region: Optional[KappaRect] = None) -> List[Ro
     eigenvalues of the walk compressed to the override box; each group of
     coinciding candidates is refined by Newton and accepted only once a
     small verification contour confirms its multiplicity, and the
-    multiplicities must add up to the winding of D around the region.  A root pi from one already certified on its circle
-    takes that certificate (see _PARTNER_TOL).  Real parts are reported in
-    [frame, frame + 2 pi), snapping to frame within 1e-12 of its end: frame
-    is 0 with no region, and re_min for a periodic region, whose seam zeros
-    count once.  Anything that cannot be certified raises NumericalFailure
-    instead of degrading the answer silently.
+    multiplicities must add up to the winding of D around the region.  For
+    a periodic region reaching above the axis that winding runs up to a top
+    line 2 _PERIODIC_GAP above it (see winding_number), where the periodic
+    rule can count the default strip; a zero in the added sliver would
+    contradict unitarity and fail this count.  A root pi from one already
+    certified on its circle takes that certificate (see _PARTNER_TOL).
+    Real parts are reported in [frame, frame + 2 pi), snapping to frame
+    within 1e-12 of its end: frame is 0 with no region, and re_min for a
+    periodic region, whose seam zeros count once.  Anything that cannot be
+    certified raises NumericalFailure instead of degrading the answer
+    silently.
     """
     fam = DeterminantFamily.of(coin)
     rect = default_strip() if region is None else region
@@ -1105,7 +1150,7 @@ class ResolventPairing:
         self.steps = _joining_steps(self.triangle, self.source, self.weights)
 
     def values(self, kappas) -> np.ndarray:
-        """<R(kappa) f, g> for an array of kappas, in blocks of at most _CHUNK_ENTRIES entries.
+        """<R(kappa) f, g> for an array of kappas, in blocks of at most _PAIRING_CHUNK_ENTRIES entries.
 
         Every step acts on each kappa's column by itself, so a kappa's value
         does not depend on the batch it comes in, to the last bit.  A step
@@ -1119,7 +1164,7 @@ class ResolventPairing:
         kappas = np.ascontiguousarray(kappas, dtype=complex)
         out = np.zeros(len(kappas), dtype=complex)
         t = self.triangle
-        chunk = max(1, _CHUNK_ENTRIES // max(1, len(t)))
+        chunk = max(1, _PAIRING_CHUNK_ENTRIES // max(1, len(t)))
         with np.errstate(divide="ignore", invalid="ignore"):
             for lo in range(0, len(kappas), chunk):
                 w = np.exp(-1j * kappas[lo : lo + chunk])

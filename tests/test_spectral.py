@@ -266,6 +266,19 @@ def test_det_log_derivative_against_finite_differences():
         assert dlog == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+def test_det_is_the_d_of_det_dlog_to_the_bit(monkeypatch):
+    # A reported root's residual comes from det alone, with the bits the
+    # located root's residual had from det_dlog.
+    fam = DeterminantFamily(random_coin_field(1, seed=8))
+    for kappa in (0.4 - 0.2j, 2.0 - 0.8j, 1.0 + 0.5j, 3.0 - 1.9j):
+        d, (d_full, _) = fam.det(kappa), fam.det_dlog(kappa)
+        assert (d.real.hex(), d.imag.hex()) == (d_full.real.hex(), d_full.imag.hex())
+    root = locate_roots(fam, spectral.default_strip(-0.5))[0]
+    monkeypatch.setattr(DeterminantFamily, "det_dlog", None)
+    moved = spectral.root_reported_at(root, fam, root.kappa + 2 * np.pi)
+    assert moved.residual == max(root.residual, abs(fam.det(root.kappa + 2 * np.pi)))
+
+
 def test_determinant_is_two_pi_periodic():
     coin = random_coin_field(1, seed=17)
     fam = DeterminantFamily(coin)
@@ -449,6 +462,49 @@ def test_dlogs_is_inf_throughout_a_singular_chunk(monkeypatch):
     finite = np.delete(np.arange(len(kappas)), 1)
     full = [fam.det_dlog(kappa)[1] for kappa in kappas[finite]]
     np.testing.assert_allclose(values[finite], full, rtol=1e-12)
+
+
+# Fields with the table their windings take.
+CHUNK_FIELDS = [
+    ("r1 seed 3", lambda: random_coin_field(1, seed=3), "M"),
+    ("shape M0 1", lambda: make_shape_family(BarrierSpec(1), 0.15).coin, "M"),
+    ("one-corner 2x2", lambda: make_corner_family(2, 2, 0.2, "one-corner").coin, "M"),
+    ("elastic r2 seed 0", lambda: random_permutation_coin(2, 0).to_coin_field(), "A"),
+]
+CHUNK_KAPPAS = (np.linspace(0.0, 2 * np.pi, 40, endpoint=False)[None, :]
+                + 1j * np.array([-0.4, -0.1, 0.05, 0.3])[:, None]).reshape(-1)
+
+
+@pytest.mark.parametrize("build,table", [(build, table) for _, build, table in CHUNK_FIELDS],
+                         ids=[name for name, _, _ in CHUNK_FIELDS])
+def test_dlogs_do_not_depend_on_the_stack_size(monkeypatch, build, table):
+    # Each point is solved on its own, so the stacks it comes in do not
+    # move its bits.
+    fam = DeterminantFamily(build())
+    assert fam.table == table
+    values = {}
+    for entries in (1, 1 << 13, 1 << 16):
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", entries)
+        values[entries] = fam.dlogs(CHUNK_KAPPAS).tobytes()
+    assert values[1] == values[1 << 13] == values[1 << 16]
+
+
+@pytest.mark.parametrize("build", [build for _, build, _ in CHUNK_FIELDS],
+                         ids=[name for name, _, _ in CHUNK_FIELDS])
+def test_no_stacked_solve_of_dlogs_exceeds_the_chunk(monkeypatch, build):
+    fam = DeterminantFamily(build())
+    solve = np.linalg.solve
+    sizes = []
+
+    def spy(a, b):
+        sizes.append(a.size)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    fam.dlogs(CHUNK_KAPPAS)
+    per_point = sum(coeff.size for coeff, _, _ in fam.blocks)
+    assert sum(sizes) == len(CHUNK_KAPPAS) * per_point
+    assert max(sizes) <= spectral._CHUNK_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +989,7 @@ def test_bad_candidates_never_change_a_count(monkeypatch):
 
 ABOVE_AXIS = KappaRect(0.0, 2 * np.pi, 1e-6, 1.0)
 PERIODIC_FIELDS = 6
-PERIODIC_TRIALS = 400
+PERIODIC_TRIALS = 600
 
 
 def layer_bands(kappas):
@@ -946,9 +1002,31 @@ def layer_bands(kappas):
             for i, lo in enumerate(lines) for hi in lines[i + 1:]]
 
 
+def near_line_bands(rng, kappas, count=3):
+    """Full-period bands from a line 2.5e-3 to 1e-2 from a candidate layer up to the strip's top.
+
+    The periodic rule decides these on 64 or 128 points per line.
+    """
+    ys = kappas.imag
+    shift = spectral.STRIP_SHIFT
+    bands = []
+    for y in rng.permutation(ys[(ys > -2.0) & (ys < -0.05)]):
+        line = y + rng.choice([-1.0, 1.0]) * rng.uniform(2.6e-3, 9.9e-3)
+        if 2.5e-3 <= np.min(np.abs(ys - line)) < spectral._PERIODIC_GAP:
+            bands.append(KappaRect(shift, shift + 2 * np.pi, line, spectral.STRIP_IM_MAX))
+        if len(bands) == count:
+            break
+    return bands
+
+
 def periodic_fault(rng, kappas, rect):
-    """One seeded fault, aimed at the lines: a drop, a move or a spurious candidate."""
-    gap = np.minimum(np.abs(kappas.imag - rect.im_min), np.abs(kappas.imag - rect.im_max))
+    """One seeded fault, aimed at the lines: a drop, a move or a spurious candidate.
+
+    A top line above the axis is summed at 2 _PERIODIC_GAP or above (see
+    winding_number), so that is where the faults go.
+    """
+    top = max(rect.im_max, 2 * spectral._PERIODIC_GAP) if rect.im_max > 0 else rect.im_max
+    gap = np.minimum(np.abs(kappas.imag - rect.im_min), np.abs(kappas.imag - top))
     # Half the picks go to the four candidates nearest a line.
     nearest = np.argsort(gap, kind="stable")[:4]
     pick = int(nearest[rng.integers(len(nearest))] if rng.random() < 0.5
@@ -961,7 +1039,7 @@ def periodic_fault(rng, kappas, rect):
         moved = kappas.copy()
         moved[pick] += step
         return f"move {kappas[pick]:.6g} by {step:.2e}", moved
-    line = (rect.im_min, rect.im_max)[rng.integers(2)]
+    line = (rect.im_min, top)[rng.integers(2)]
     z = complex(rng.uniform(-np.pi, np.pi), line + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -1))
     return f"spurious {z:.6g}", np.append(kappas, z)
 
@@ -970,9 +1048,11 @@ def test_bad_candidates_never_change_a_periodic_count(monkeypatch):
     # The periodic rule cannot tell on which side of a line a pole lies, so
     # a candidate moved across a line, dropped or added next to one must
     # make it decline or leave its count right.  Bands: the one above the
-    # axis, and bands between candidate layers of full strips.  The adaptive
-    # rule, stressed above, is made to refuse: each count that comes back
-    # is the periodic rule's.
+    # axis, bands between candidate layers of full strips, bands with a line
+    # 2.5e-3 to 1e-2 from a layer (64 or 128 points per line), and the
+    # corner presets' default strips, whose top line is raised off the axis
+    # eigenvalues.  The adaptive rule, stressed above, is made to refuse:
+    # each count that comes back is the periodic rule's.
     full = spectral._zero_candidates
     current = {}
     monkeypatch.setattr(spectral, "_zero_candidates", lambda fam: current["kappas"])
@@ -982,11 +1062,18 @@ def test_bad_candidates_never_change_a_periodic_count(monkeypatch):
 
     monkeypatch.setattr(spectral, "_winding", refuse)
     rng = np.random.default_rng(20261019)
-    cases = []
+    fields = []
     for seed in rng.integers(2**31, size=PERIODIC_FIELDS):
         coin = random_coin_field(1, int(seed))
         kappas = full(DeterminantFamily(coin))
-        for rect in [ABOVE_AXIS] + layer_bands(kappas):
+        fields.append((coin, kappas, [ABOVE_AXIS] + layer_bands(kappas) + near_line_bands(rng, kappas)))
+    for preset in CORNER_PRESETS:
+        for m0, n0, eps in ((1, 1, 0.3), (2, 2, 0.2)):
+            coin = make_corner_family(m0, n0, eps, preset).coin
+            fields.append((coin, full(DeterminantFamily(coin)), [spectral.default_strip()]))
+    cases = []
+    for coin, kappas, rects in fields:
+        for rect in rects:
             truth = spectral._copies_in(kappas, rect).size
             current["kappas"] = kappas
             assert winding_number(DeterminantFamily(coin), rect) == truth, rect
@@ -1026,14 +1113,33 @@ def test_above_axis_winding_is_one_periodic_batch(monkeypatch):
     assert sizes == [32]
 
 
-def test_strip_next_to_eigenvalues_falls_back_to_the_adaptive_rule(monkeypatch):
+def test_strip_next_to_eigenvalues_is_counted_by_the_periodic_rule(monkeypatch):
     # The strip's top line passes 1e-6 above the axis eigenvalues, inside
-    # the guard, so locate_roots winds it adaptively, on a window pi wide:
-    # 344 points, and 8 circles of 32 for the 16 roots (1,056 points when
-    # the whole strip and every root's circle were evaluated).
+    # the guard.  No zero lies above the axis, so the completeness winding
+    # sums its top line at 2 _PERIODIC_GAP instead, and the periodic rule
+    # counts the strip in one batch of 32 points, after 8 circles of 32
+    # certify the 16 roots.
     sizes = dlogs_batches(monkeypatch)
     assert len(locate_roots(make_corner_family(2, 2, 0.2, "one-corner").coin)) == 16
-    assert sum(sizes) == 600
+    assert sum(sizes) == 288
+    assert sizes[-1] == 32
+
+
+def test_a_candidate_near_a_line_doubles_the_periodic_points(monkeypatch):
+    # The random radius-1 field of seed 3 has a candidate pair 3.1e-3 below
+    # the bottom line of its band down to -0.5: inside the gap at 32 and 64
+    # points per line, outside it at 128.  One batch of 128 points counts
+    # the band, as the adaptive rule does on its window pi wide.
+    fam = DeterminantFamily(random_coin_field(1, seed=3))
+    band = spectral.default_strip(-0.5)
+    near = np.min(np.abs(fam.candidates.imag - band.im_min))
+    assert spectral._PERIODIC_GAP / 4 <= near < spectral._PERIODIC_GAP / 2
+    sizes = dlogs_batches(monkeypatch)
+    count = winding_number(fam, band)
+    assert sizes == [128]
+    half = spectral._half_period_window(fam.candidates, band)
+    assert count == 2 * spectral._winding(fam, half, spectral._deflation_poles(fam.candidates, half))
+    assert count == spectral._copies_in(fam.candidates, band).size
 
 
 HALF_WINDOW_FIELDS = (
@@ -1155,7 +1261,7 @@ def test_a_band_whose_width_rounds_off_two_pi_is_counted_by_the_periodic_rule(mo
         points.clear()
         locate_roots(DeterminantFamily(coin), KappaRect(start, start + spectral.TWO_PI, -2.0, 1e-6))
         cost[start] = sum(points)
-    assert cost == {1.0: 600, 1.8: 600}
+    assert cost == {1.0: 288, 1.8: 288}
 
 
 def test_a_cluster_split_by_the_seam_is_one_group(monkeypatch):
@@ -1607,7 +1713,7 @@ def _reference_values(pairing, kappas):
     out = np.zeros(len(kappas), dtype=complex)
     t = pairing.triangle
     n = len(t)
-    chunk = max(1, spectral._CHUNK_ENTRIES // max(1, n))
+    chunk = max(1, spectral._PAIRING_CHUNK_ENTRIES // max(1, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, len(kappas), chunk):
             w = np.exp(-1j * kappas[lo : lo + chunk])
