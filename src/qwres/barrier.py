@@ -29,7 +29,6 @@ from .lattice import (
     UP,
     CoinField,
     Site,
-    WalkOperator,
     WalkState,
     box_edges,
     compress_walk,
@@ -143,7 +142,6 @@ class NonPenetrableWalk:
         self.spec = spec
         self.box_radius = m0
         self.coin = CoinField(m0, overrides)
-        self.operator = WalkOperator(self.coin)
         self.pairs = interior_pairs(m0)
         self._index = {pair: i for i, pair in enumerate(self.pairs)}
         self._pair_sites = np.array([site for site, _ in self.pairs], dtype=np.int64)
@@ -194,7 +192,7 @@ class InteriorSpectrum:
     def __init__(self, walk: NonPenetrableWalk):
         self.walk = walk
         n = walk.interior_dimension
-        matrix, leak = compress_walk(walk.operator, walk.pairs)
+        matrix, leak = compress_walk(walk.coin, walk.pairs)
         self.leakage = leak
         if leak > _LEAK_TOL:
             raise NumericalFailure(
@@ -299,6 +297,11 @@ def green_apply(
 
 # The rectangle type under its old name, which qwbench and older callers import.
 ContourLoop = KappaRect
+
+
+def WalkOperator(coin: CoinField) -> CoinField:
+    """The walk under its old wrapper's name, which qwbench imports: the coin field itself."""
+    return coin
 
 
 def norm_on_loop(

@@ -48,7 +48,6 @@ from .elastic import (
 from .lattice import (
     CHIRALITY_NAMES,
     CoinField,
-    WalkOperator,
     WalkState,
     coin_field_from_json,
     evolve,
@@ -291,10 +290,8 @@ def _orbit_obj(orbit: ClosedOrbit) -> Dict[str, object]:
 
 
 def _run_evolve(cfg):
-    coin = _model_coin_field(cfg)
-    op = WalkOperator(coin)
     u0 = WalkState.delta(cfg["site"], CHIRALITY_NAMES.index(cfg["chirality"]))
-    ut = evolve(op, u0, cfg["t"])
+    ut = evolve(_model_coin_field(cfg), u0, cfg["t"])
     state = []
     for site in sorted(ut.sites()):
         vec = ut.amplitude(site)
@@ -605,12 +602,19 @@ def _echo(cfg: Dict[str, object]) -> Dict[str, object]:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()}
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, text: str, code: int) -> int:
+    """Write text to the path ("-" is stdout) and return code, or 4 if the path cannot be written."""
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        reason = f"cannot write {path}: {exc.strerror or exc}"
+        sys.stderr.write(_json_text({"error": {"reason": reason, "type": "ConfigError"}}))
+        return 4
+    return code
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
@@ -641,17 +645,16 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             "error": {"reason": str(exc), "type": "NumericalFailure"},
             "version": __version__,
         }
-        _write_output(cfg["output"], _json_text(envelope))
-        return 1
+        return _write_output(cfg["output"], _json_text(envelope), 1)
     if cfg.get("emit", "json") == "csv":
         text = _csv_text(rows)
     else:
         envelope = {"config": _echo(cfg), "payload": payload, "version": __version__}
         text = _json_text(envelope)
-    _write_output(cfg["output"], text)
-    elapsed = time.perf_counter() - started
-    sys.stderr.write(f"qwres {cfg['command']}: {elapsed:.3f} s\n")
-    return 0
+    code = _write_output(cfg["output"], text, 0)
+    if code == 0:
+        sys.stderr.write(f"qwres {cfg['command']}: {time.perf_counter() - started:.3f} s\n")
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

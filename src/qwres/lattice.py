@@ -10,7 +10,6 @@ Coins differ from the identity only inside the square box |x1| <= M0,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
@@ -90,7 +89,8 @@ class WalkState:
             if v.shape != (4,):
                 raise ValueError(f"amplitude at {site} has shape {v.shape}, expected (4,)")
             amp[_integer_site(site)] = v
-        state = WalkState._wrap(amp)
+        state = WalkState._of_rows(_site_array(list(amp)),
+                                   np.array(list(amp.values()), dtype=complex).reshape(-1, 4))
         self._sites, self._amps, self._index = state._sites, state._amps, None
 
     @classmethod
@@ -112,12 +112,6 @@ class WalkState:
         out = cls.__new__(cls)
         out._sites, out._amps, out._index = sites, amps, None
         return out
-
-    @classmethod
-    def _wrap(cls, amp: Dict[Site, np.ndarray]) -> "WalkState":
-        """Stack a map of integer sites to length-4 vectors, dropping the zero ones."""
-        return cls._of_rows(_site_array(list(amp)),
-                            np.array(list(amp.values()), dtype=complex).reshape(-1, 4))
 
     @classmethod
     def from_entries(cls, sites, chiralities, values) -> "WalkState":
@@ -292,54 +286,30 @@ class CoinField:
         return f"CoinField(box_radius={self.box_radius}, overrides={len(self._overrides)})"
 
 
-@dataclass(frozen=True)
-class WalkOperator:
-    """One-step walk operator: coin multiplication followed by the shift."""
-
-    coin: CoinField
-
-
-def _coin_field_of(op) -> CoinField:
-    if isinstance(op, WalkOperator):
-        return op.coin
-    if isinstance(op, CoinField):
-        return op
-    raise TypeError(f"expected WalkOperator or CoinField, got {type(op).__name__}")
-
-
-def apply_walk(op: WalkOperator, u: WalkState) -> WalkState:
+def apply_walk(coin: CoinField, u: WalkState) -> WalkState:
     """One step of the walk: mix each site's amplitude by its coin, then shift.
 
     The support grows by at most one lattice step and the l2 norm is
-    preserved up to rounding.
+    preserved up to rounding.  Each (site, chirality) receives at most one
+    amplitude, so from_entries adds it to zero once.  ValueError for a step
+    that leaves 64-bit site coordinates.
     """
-    coin = _coin_field_of(op)
-    out: Dict[Site, np.ndarray] = {}
-    for site, vec in u.items():
-        mixed = coin.coin_at(site) @ vec
-        x, y = site
-        for j in CHIRALITIES:
-            a = mixed[j]
-            if a == 0:
-                continue
-            dx, dy = STEPS[j]
-            target = (x + dx, y + dy)
-            acc = out.get(target)
-            if acc is None:
-                acc = np.zeros(4, dtype=complex)
-                out[target] = acc
-            acc[j] += a
-    return WalkState._wrap(out)
+    mixed = np.array([coin.coin_at(site) @ vec for site, vec in u.items()],
+                     dtype=complex).reshape(-1, 4)
+    row, j = np.nonzero(mixed)
+    sites, steps = u._sites[row], np.array(STEPS)[j]
+    if np.any(((steps > 0) & (sites == _INT64.max)) | ((steps < 0) & (sites == _INT64.min))):
+        raise ValueError("apply_walk needs site coordinates that fit in 64-bit integers")
+    return WalkState.from_entries(sites + steps, j, mixed[row, j])
 
 
-def compress_walk(op, pairs) -> Tuple[np.ndarray, float]:
+def compress_walk(coin: CoinField, pairs) -> Tuple[np.ndarray, float]:
     """The walk compressed to the (site, chirality) pairs, and what it drops.
 
     Column c of the matrix is one walk step applied to the delta on pairs[c],
     read off on the pairs; leak is the largest amplitude of those steps that
     lands outside them (0 exactly when the pairs span an invariant space).
     """
-    coin = _coin_field_of(op)
     index = {pair: i for i, pair in enumerate(pairs)}
     matrix = np.zeros((len(pairs), len(pairs)), dtype=complex)
     leak = 0.0
@@ -392,7 +362,7 @@ _BANK_ROWS = 1024
 _REPEAT_STRIDE = 64
 
 
-def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
+def evolve(coin: CoinField, u: WalkState, t: int) -> WalkState:
     """Apply ``t`` walk steps exactly.
 
     Far from the coin box the walk is a pure translation, so any amplitude
@@ -445,7 +415,6 @@ def evolve(op: WalkOperator, u: WalkState, t: int) -> WalkState:
     if int(t) != t or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t}")
     t = int(t)
-    coin = _coin_field_of(op)
     if t == 0:
         return WalkState._of_rows(u._sites, u._amps)
 

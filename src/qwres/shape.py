@@ -42,7 +42,6 @@ from .lattice import (
     UP,
     CoinField,
     Site,
-    WalkOperator,
     WalkState,
     apply_walk,
 )
@@ -181,10 +180,6 @@ class CornerFamily:
         self.box_radius = coin.box_radius
         self.period = 2 * (m0 + n0)
         self.coin = coin
-        self.operator = WalkOperator(self.coin)
-
-    def coin_at(self, site: Site) -> np.ndarray:
-        return self.coin.coin_at(site)
 
     def __repr__(self) -> str:
         return (
@@ -450,7 +445,6 @@ class ShapeFamily:
         self.base = base
         self.box_radius = m0
         self.coin = CoinField(m0, overrides)
-        self.operator = WalkOperator(self.coin)
 
     def __repr__(self) -> str:
         return f"ShapeFamily(box_radius={self.box_radius}, eps={self.eps})"
@@ -702,8 +696,8 @@ def perturbation_identities(
     def hop_difference(u: WalkState) -> WalkState:
         on_wall = np.array([site in wall for site in u.sites()], dtype=bool)
         clipped = WalkState._of_rows(u._sites[on_wall], u._amps[on_wall])
-        sealed_step = apply_walk(fam.base.operator, clipped)
-        return sealed_step.plus(apply_walk(fam.operator, clipped).scaled(-1.0))
+        sealed_step = apply_walk(sealed_coin, clipped)
+        return sealed_step.plus(apply_walk(open_coin, clipped).scaled(-1.0))
 
     direct = resolvent_matrix_element(
         open_coin, kappa, left_probe, right_probe

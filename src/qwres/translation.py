@@ -23,8 +23,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .lattice import (CHIRALITIES, STEP_AXIS, STEP_SIGN, WalkOperator, WalkState, _coin_field_of,
-                      apply_walk)
+from .lattice import CHIRALITIES, STEP_AXIS, STEP_SIGN, CoinField, WalkState, apply_walk
 
 
 def translation_weight(theta: complex, site, chirality: int) -> complex:
@@ -58,9 +57,9 @@ def apply_T_theta(theta: complex, u: WalkState) -> WalkState:
     return WalkState._of_rows(u._sites, _product(weights, u._amps))
 
 
-def apply_U_theta(op: WalkOperator, theta: complex, u: WalkState) -> WalkState:
+def apply_U_theta(coin: CoinField, theta: complex, u: WalkState) -> WalkState:
     """One step of the translated walk T(theta) U T(-theta)."""
-    return apply_T_theta(theta, apply_walk(op, apply_T_theta(-theta, u)))
+    return apply_T_theta(theta, apply_walk(coin, apply_T_theta(-theta, u)))
 
 
 class OutgoingState:
@@ -175,7 +174,7 @@ class OutgoingReport:
         return complex(theta).imag < self.kappa.imag
 
 
-def verify_outgoing(op: WalkOperator, s: OutgoingState, window: int) -> OutgoingReport:
+def verify_outgoing(coin: CoinField, s: OutgoingState, window: int) -> OutgoingReport:
     """Measure max |(U u)(x) - e^{-i kappa} u(x)| over the given window.
 
     The state is reconstructed analytically on the window dilated by one, so
@@ -184,10 +183,9 @@ def verify_outgoing(op: WalkOperator, s: OutgoingState, window: int) -> Outgoing
     site past the dilated box, where the tail formulas take over from the
     stored core.
     """
-    coin = _coin_field_of(op)
     if coin.box_radius != s.box_radius:
         raise ValueError(
-            f"operator box radius {coin.box_radius} != state box radius {s.box_radius}"
+            f"coin box radius {coin.box_radius} != state box radius {s.box_radius}"
         )
     if window < s.box_radius + 2:
         raise ValueError(
@@ -197,7 +195,7 @@ def verify_outgoing(op: WalkOperator, s: OutgoingState, window: int) -> Outgoing
         return OutgoingReport(0.0, 0.0, window, True, s.kappa)
 
     u_ext = s.sample(window + 1)
-    diff = apply_walk(op, u_ext).plus(u_ext.scaled(-np.exp(-1j * s.kappa)))
+    diff = apply_walk(coin, u_ext).plus(u_ext.scaled(-np.exp(-1j * s.kappa)))
     return OutgoingReport(_window_max(diff, window), _window_max(u_ext, window), window,
                           False, s.kappa)
 

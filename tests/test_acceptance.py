@@ -23,7 +23,6 @@ from qwres import (
     BarrierSpec,
     Escaped,
     KappaRect,
-    WalkOperator,
     WalkState,
     apply_walk,
     build_nonpenetrable,
@@ -151,7 +150,7 @@ def test_criterion_04_random_fields_stay_unitary_above_the_axis():
             }
             raw = WalkState(amp)
             u = WalkState({s: v / raw.norm() for s, v in amp.items()})
-            final = evolve(WalkOperator(coin), u, 10_000)
+            final = evolve(coin, u, 10_000)
             assert abs(final.norm() - 1.0) <= 1e-10, seed
 
 
@@ -174,7 +173,7 @@ def test_criterion_06_green_formula_agrees_with_a_direct_solve():
         # state through the walk, bypassing the stored eigendecomposition.
         u_mat = np.zeros((n, n), dtype=complex)
         for j, (site, chir) in enumerate(walk.pairs):
-            pushed = apply_walk(walk.operator, WalkState.delta(site, chir))
+            pushed = apply_walk(walk.coin, WalkState.delta(site, chir))
             u_mat[:, j] = walk.state_to_vector(pushed)
         rng = np.random.default_rng(2)
         worst_plain = 0.0
@@ -231,7 +230,7 @@ def test_criterion_09_resonant_modes_verify_on_a_dilated_window():
             modes = data.resonances()
             assert len(modes) == fam.period
             for mode in modes:
-                report = verify_outgoing(fam.operator, mode.state, fam.box_radius + 5)
+                report = verify_outgoing(fam.coin, mode.state, fam.box_radius + 5)
                 assert report.residual <= 1e-12, mode.kappa
                 im = mode.kappa.imag
                 assert im < 0.0
@@ -268,11 +267,10 @@ def test_criterion_10_elastic_fields_tie_orbits_roots_and_windings_together():
             coin = random_permutation_coin(2, seed)
             report = classify_trapping(coin)
             field = coin.to_coin_field()
-            op = WalkOperator(field)
             trapped = {state for orbit in report.orbits for state in orbit.states}
             for orbit in report.orbits:
                 site, chir = orbit.states[0]
-                final = evolve(op, WalkState.delta(site, chir), orbit.period)
+                final = evolve(field, WalkState.delta(site, chir), orbit.period)
                 assert _support(final) == [site]
                 expected = np.zeros(4, dtype=complex)
                 expected[chir] = np.exp(1j * orbit.total_phase)
@@ -289,8 +287,8 @@ def test_criterion_10_elastic_fields_tie_orbits_roots_and_windings_together():
                 # Once on the exit ray the delta flies one site per step, so
                 # its Chebyshev radius grows linearly: never bounded.
                 t1 = tr.steps + 7
-                p1 = _support(evolve(op, WalkState.delta(s0, j0), t1))
-                p2 = _support(evolve(op, WalkState.delta(s0, j0), t1 + 5))
+                p1 = _support(evolve(field, WalkState.delta(s0, j0), t1))
+                p2 = _support(evolve(field, WalkState.delta(s0, j0), t1 + 5))
                 assert len(p1) == 1 and len(p2) == 1
                 c1 = max(abs(p1[0][0]), abs(p1[0][1]))
                 c2 = max(abs(p2[0][0]), abs(p2[0][1]))

@@ -124,6 +124,19 @@ class TestExitCodes:
         assert run_cli(["resonances", "--preset", "free"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["resonances", "--preset", "corner", "--m0", "1", "--n0", "1"],
+        ["barrier-norms", "--eps-grid", "0.16", "--mu0", "0.3"],  # a numerical failure
+    ], ids=["success", "numerical-failure"])
+    def test_output_path_that_cannot_be_written_exits_4(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out.json"
+        assert run_cli(argv + ["--output", str(target)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {
+            "reason": f"cannot write {target}: No such file or directory", "type": "ConfigError"}}
+        assert not target.parent.exists()
+
 
 # One bad value per option, each given through --config: (command, extra
 # flags that make the rest of the run valid, option, bad value, expected

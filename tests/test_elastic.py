@@ -20,7 +20,6 @@ from qwres.lattice import (
     LEFT,
     RIGHT,
     UP,
-    WalkOperator,
     WalkState,
     apply_walk,
     evolve,
@@ -85,12 +84,12 @@ def test_corner_quantization_shifts_with_phases():
 def test_orbit_eigenfunctions_are_exact_eigenvectors():
     phases = {site: tuple(np.random.default_rng(4).uniform(0, 2 * np.pi, 4)) for site in CORNER_PERMS}
     coin = corner_coin(phases)
-    op = WalkOperator(coin.to_coin_field())
+    field = coin.to_coin_field()
     orbit = trace_trajectory(coin, (0, 0), LEFT)
     for lam in qc_spectrum(orbit):
         u = build_orbit_eigenfunction(orbit, lam)
         assert u.norm() == pytest.approx(np.sqrt(orbit.period), abs=1e-12)
-        pushed = apply_walk(op, u)
+        pushed = apply_walk(field, u)
         assert pushed.allclose(u.scaled(np.exp(-1j * lam)), tol=1e-12)
 
 
@@ -129,11 +128,11 @@ def test_permutation_coin_validation():
 
 def test_closed_orbit_matches_evolution():
     coin = corner_coin({site: (0.2, 0.4, 0.1, -0.3) for site in CORNER_PERMS})
-    op = WalkOperator(coin.to_coin_field())
+    field = coin.to_coin_field()
     orbit = trace_trajectory(coin, (0, 0), LEFT)
     u = WalkState.delta(*orbit.states[0])
     for t in (1, 3, 8, 19, 200):
-        v = evolve(op, u, t)
+        v = evolve(field, u, t)
         q, p = orbit.states[t % orbit.period]
         assert v.support() == {q}
         assert abs(v.component(q, p)) == pytest.approx(1.0, abs=1e-12)
@@ -141,9 +140,9 @@ def test_closed_orbit_matches_evolution():
 
 def test_escaping_start_leaves_the_box_under_evolution():
     coin = corner_coin()
-    op = WalkOperator(coin.to_coin_field())
+    field = coin.to_coin_field()
     u = WalkState.delta((-7, 0), RIGHT)
-    v = evolve(op, u, 60)
+    v = evolve(field, u, 60)
     site = next(iter(v.support()))
     assert max(abs(site[0]), abs(site[1])) > 40
 
@@ -163,8 +162,8 @@ def test_traced_orbits_are_simple_cycles(seed, x, y, j):
         assert len(set(result.states)) == result.period
         lam = float(qc_spectrum(result)[0])
         u = build_orbit_eigenfunction(result, lam)
-        op = WalkOperator(coin.to_coin_field())
-        assert apply_walk(op, u).allclose(u.scaled(np.exp(-1j * lam)), tol=1e-11)
+        field = coin.to_coin_field()
+        assert apply_walk(field, u).allclose(u.scaled(np.exp(-1j * lam)), tol=1e-11)
     else:
         assert isinstance(result, Escaped)
 

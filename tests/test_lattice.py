@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwres
 from qwres import lattice
 from qwres.lattice import (
     CHIRALITIES,
@@ -15,7 +16,6 @@ from qwres.lattice import (
     STEPS,
     UP,
     CoinField,
-    WalkOperator,
     WalkState,
     apply_walk,
     box_edges,
@@ -50,7 +50,7 @@ def corner_coins(m0, n0):
     }
 
 
-FREE = WalkOperator(CoinField(0, {}))
+FREE = CoinField(0, {})
 
 
 def test_free_step_moves_each_chirality_one_unit():
@@ -63,28 +63,27 @@ def test_free_step_moves_each_chirality_one_unit():
 
 def test_corner_coin_turns_left_mover_upward():
     coin = CoinField(2, corner_coins(2, 2))
-    op = WalkOperator(coin)
     u = WalkState.delta((0, 0), LEFT)
-    v = apply_walk(op, u)
+    v = apply_walk(coin, u)
     assert v.support() == {(0, 1)}
     assert v.component((0, 1), UP) == pytest.approx(1.0)
 
 
 def test_corner_loop_closes_with_unit_amplitude():
     m0, n0 = 2, 2
-    op = WalkOperator(CoinField(2, corner_coins(m0, n0)))
+    coin = CoinField(2, corner_coins(m0, n0))
     u = WalkState.delta((0, 0), LEFT)
     period = 2 * (m0 + n0)
     v = u
     for _ in range(period):
-        v = apply_walk(op, v)
+        v = apply_walk(coin, v)
     assert v.support() == {(0, 0)}
     assert v.component((0, 0), LEFT) == pytest.approx(1.0)
     # No earlier return: the loop visits eight distinct sites.
     w = u
     seen = []
     for _ in range(period):
-        w = apply_walk(op, w)
+        w = apply_walk(coin, w)
         seen.append(next(iter(w.support())))
     assert len(set(seen)) == period
 
@@ -98,33 +97,31 @@ def test_free_flight_is_exact_translation():
 
 def test_walk_preserves_norm():
     coin = random_coin_field(2, seed=7)
-    op = WalkOperator(coin)
     rng = np.random.default_rng(11)
     amp = {}
     for _ in range(6):
         site = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
         amp[site] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     u = WalkState(amp)
-    v = evolve(op, u, 137)
+    v = evolve(coin, u, 137)
     assert v.norm() == pytest.approx(u.norm(), abs=1e-12)
 
 
 def test_evolve_matches_repeated_single_steps():
     coin = random_coin_field(1, seed=3)
-    op = WalkOperator(coin)
     u = WalkState.delta((0, 0), DOWN).plus(WalkState.delta((5, 5), LEFT))
     stepped = u
     for _ in range(9):
-        stepped = apply_walk(op, stepped)
-    assert evolve(op, u, 9).allclose(stepped, tol=1e-12)
+        stepped = apply_walk(coin, stepped)
+    assert evolve(coin, u, 9).allclose(stepped, tol=1e-12)
 
 
 def test_evolve_takes_an_integral_float_step_count():
-    op = WalkOperator(random_coin_field(1, seed=3))
+    coin = random_coin_field(1, seed=3)
     u = WalkState.delta((0, 0), DOWN)
-    assert evolve(op, u, 3.0).allclose(evolve(op, u, 3), tol=0.0)
+    assert evolve(coin, u, 3.0).allclose(evolve(coin, u, 3), tol=0.0)
     with pytest.raises(ValueError, match="nonnegative integer"):
-        evolve(op, u, 2.5)
+        evolve(coin, u, 2.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,14 +137,13 @@ def test_evolve_takes_an_integral_float_step_count():
 )
 def test_evolve_equals_power_of_apply_walk(seed, t, sites):
     coin = random_coin_field(2, seed=seed)
-    op = WalkOperator(coin)
     u = WalkState({})
     for x, y, j in sites:
         u = u.plus(WalkState.delta((x, y), j, value=1.0 + 0.5j))
     stepped = u
     for _ in range(t):
-        stepped = apply_walk(op, stepped)
-    fast = evolve(op, u, t)
+        stepped = apply_walk(coin, stepped)
+    fast = evolve(coin, u, t)
     assert fast.allclose(stepped, tol=1e-10)
     assert fast.norm() == pytest.approx(u.norm(), abs=1e-10)
 
@@ -233,13 +229,12 @@ def test_inner_product_is_linear_in_first_argument():
 def test_evolve_banks_amplitude_entering_from_outside():
     # A right mover far to the left crosses the coin box and scatters.
     coin = random_coin_field(1, seed=9)
-    op = WalkOperator(coin)
     u = WalkState.delta((-40, 0), RIGHT)
     t = 60
     stepped = u
     for _ in range(t):
-        stepped = apply_walk(op, stepped)
-    assert evolve(op, u, t).allclose(stepped, tol=1e-10)
+        stepped = apply_walk(coin, stepped)
+    assert evolve(coin, u, t).allclose(stepped, tol=1e-10)
 
 
 # A start outside the window: (chirality, offset across the ray, distance
@@ -259,7 +254,7 @@ OUTSIDE_START = st.tuples(st.integers(0, 3), st.integers(-4, 4), st.integers(1, 
 )
 def test_evolve_matches_apply_walk_with_amplitude_from_outside(m0, seed, density, t, inside,
                                                                 outside):
-    op = WalkOperator(random_coin_field(m0, seed=seed, density=density))
+    coin = random_coin_field(m0, seed=seed, density=density)
     r = m0 + 1
     u = WalkState({})
     for x, y, j in inside:
@@ -271,8 +266,8 @@ def test_evolve_matches_apply_walk_with_amplitude_from_outside(m0, seed, density
         u = u.plus(WalkState.delta(site, j, value=0.3 + 0.4j))
     stepped = u
     for _ in range(t):
-        stepped = apply_walk(op, stepped)
-    fast = evolve(op, u, t)
+        stepped = apply_walk(coin, stepped)
+    fast = evolve(coin, u, t)
     assert fast.support() == stepped.support()
     assert fast.allclose(stepped, tol=1e-12)
     assert all(np.any(vec != 0) for _, vec in fast.items())
@@ -280,14 +275,14 @@ def test_evolve_matches_apply_walk_with_amplitude_from_outside(m0, seed, density
 
 @pytest.mark.parametrize("t", [1, 7, 60])
 def test_evolve_keeps_an_empty_state_empty(t):
-    assert len(evolve(WalkOperator(random_coin_field(2, seed=4, density=0.5)), WalkState({}), t)) == 0
+    assert len(evolve(random_coin_field(2, seed=4, density=0.5), WalkState({}), t)) == 0
 
 
 def test_evolve_rejects_a_site_beyond_64_bits():
-    op = WalkOperator(random_coin_field(1, seed=2))
-    assert evolve(op, WalkState.delta((2**62, 0), LEFT), 3).support() == {(2**62 - 3, 0)}
+    coin = random_coin_field(1, seed=2)
+    assert evolve(coin, WalkState.delta((2**62, 0), LEFT), 3).support() == {(2**62 - 3, 0)}
     with pytest.raises(ValueError, match="64-bit"):
-        evolve(op, WalkState.delta((2**64, 0), LEFT), 3)
+        evolve(coin, WalkState.delta((2**64, 0), LEFT), 3)
 
 
 def _state_bytes(u):
@@ -297,11 +292,11 @@ def _state_bytes(u):
 @pytest.mark.parametrize("t", [1, 5, 6, 7, 40])
 def test_evolve_result_does_not_depend_on_the_bank_block(monkeypatch, t):
     # Blocks of 6 steps: t = 6 fills one exactly, and 40 ends mid-block.
-    op = WalkOperator(random_coin_field(1, seed=11))
+    coin = random_coin_field(1, seed=11)
     u = WalkState.delta((0, 0), UP).plus(WalkState.delta((-9, 1), RIGHT, 0.5j))
-    whole = evolve(op, u, t)
+    whole = evolve(coin, u, t)
     monkeypatch.setattr(lattice, "_BANK_ROWS", 6)
-    assert _state_bytes(evolve(op, u, t)) == _state_bytes(whole)
+    assert _state_bytes(evolve(coin, u, t)) == _state_bytes(whole)
 
 
 def _norm_by_site(u):
@@ -321,19 +316,19 @@ def test_norm_equals_the_loop_over_sites_to_the_last_bit(monkeypatch, seed):
     u = WalkState({(int(i), int(rng.integers(-5, 5))): scale[i] * (rng.standard_normal(4)
                    + 1j * rng.standard_normal(4)) for i in range(n)})
     assert u.norm() == _norm_by_site(u)
-    op = WalkOperator(random_coin_field(1, seed=seed))
-    evolved = evolve(op, u, 300)
+    coin = random_coin_field(1, seed=seed)
+    evolved = evolve(coin, u, 300)
     assert evolved.norm() == _norm_by_site(evolved)
     assert WalkState().norm() == 0.0
 
 
-def _compressed_by_definition(op, pairs):
+def _compressed_by_definition(coin, pairs):
     """Column c: one walk step on the delta on pairs[c], read off on the pairs."""
     index = {pair: i for i, pair in enumerate(pairs)}
     matrix = np.zeros((len(pairs), len(pairs)), dtype=complex)
     leak = 0.0
     for col, (site, j) in enumerate(pairs):
-        for target, amp in apply_walk(op, WalkState.delta(site, j)).items():
+        for target, amp in apply_walk(coin, WalkState.delta(site, j)).items():
             for k in CHIRALITIES:
                 row = index.get((target, k))
                 if row is None:
@@ -353,7 +348,7 @@ def test_compress_walk_matches_its_definition_on_random_fields(m0, seed, density
     coin = random_coin_field(m0, seed=seed, density=density)
     pairs = box_edges(list(coin.override_sites()) + probes)
     matrix, leak = compress_walk(coin, pairs)
-    reference, reference_leak = _compressed_by_definition(WalkOperator(coin), pairs)
+    reference, reference_leak = _compressed_by_definition(coin, pairs)
     np.testing.assert_array_equal(matrix, reference)
     assert leak == reference_leak > 0
 
@@ -361,8 +356,8 @@ def test_compress_walk_matches_its_definition_on_random_fields(m0, seed, density
 @pytest.mark.parametrize("m0", [1, 2])
 def test_compress_walk_matches_its_definition_on_the_sealed_barrier(m0):
     walk = build_nonpenetrable(BarrierSpec(m0))
-    matrix, leak = compress_walk(walk.operator, walk.pairs)
-    reference, reference_leak = _compressed_by_definition(walk.operator, walk.pairs)
+    matrix, leak = compress_walk(walk.coin, walk.pairs)
+    reference, reference_leak = _compressed_by_definition(walk.coin, walk.pairs)
     np.testing.assert_array_equal(matrix, reference)
     assert leak == reference_leak == 0
 
@@ -460,6 +455,21 @@ def _reference_evolve(coin, u, t):
     return dict(zip(sites, itertools.compress(amp, keep)))
 
 
+def _reference_apply_walk(coin, u):
+    """The dict-based step that apply_walk replaced: each nonzero mixed
+    amplitude is added to a zero vector at the site it steps to."""
+    out = {}
+    for (x, y), vec in u.items():
+        mixed = coin.coin_at((x, y)) @ vec
+        for j in CHIRALITIES:
+            a = mixed[j]
+            if a == 0:
+                continue
+            dx, dy = STEPS[j]
+            out.setdefault((x + dx, y + dy), np.zeros(4, dtype=complex))[j] += a
+    return out
+
+
 def _reference_plus(u, v):
     amp = {s: a.copy() for s, a in u.items()}
     for site, vec in v.items():
@@ -511,8 +521,57 @@ def test_evolve_equals_the_dict_reference_to_the_bit(t, m0, seed, density, drawn
         vec[j] = complex(*rng.standard_normal(2))
         amp[site] = amp.get(site, 0) + vec
     u = WalkState(amp)
-    assert _state_bytes(evolve(WalkOperator(coin), u, t)) == _state_bytes(
+    assert _state_bytes(evolve(coin, u, t)) == _state_bytes(
         _reference_evolve(coin, dict(u.items()), t))
+
+
+def _assert_apply_walk_equals_the_reference(coin, u):
+    fast, reference = apply_walk(coin, u), _reference_apply_walk(coin, u)
+    assert list(fast.sites()) == list(reference)
+    assert fast._amps.tobytes() == np.array(list(reference.values()),
+                                            dtype=complex).reshape(-1, 4).tobytes()
+    return fast
+
+
+@pytest.mark.parametrize("m0, seed, density", [
+    (0, 1, 1.0), (1, 2, 1.0), (1, 3, 0.5), (2, 4, 1.0), (2, 5, 0.5), (2, 6, 0.2),
+])
+def test_apply_walk_equals_the_dict_reference_to_the_bit(m0, seed, density):
+    coin = random_coin_field(m0, seed=seed, density=density)
+    rng = np.random.default_rng(seed)
+    top, bottom = 2**63 - 1, -(2**63)
+    far = [(top - 3, 0), (bottom + 3, 5), (3, top - 3), (-2, bottom + 3), (10**9, -(10**9))]
+    _assert_apply_walk_equals_the_reference(coin, WalkState())
+    for _ in range(20):
+        # Some components are exact zeros, of either sign, and some sites far.
+        amp = {}
+        for _ in range(int(rng.integers(1, 12))):
+            site = tuple(int(c) for c in rng.integers(-m0 - 2, m0 + 3, size=2))
+            vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            vec[rng.random(4) < 0.4] = 0.0
+            vec[rng.random(4) < 0.1] = -0.0
+            amp[site] = vec
+        amp[far[int(rng.integers(len(far)))]] = rng.standard_normal(4) + 0j
+        u = WalkState(amp)
+        # A few steps, so the states meet the coins after they mix.
+        for _ in range(3):
+            u = _assert_apply_walk_equals_the_reference(coin, u)
+
+
+def test_apply_walk_equals_the_dict_reference_on_permutation_coins():
+    # Corner coins route each chirality whole, so most mixed entries are exact zeros.
+    coin = CoinField(2, corner_coins(2, 2))
+    u = WalkState({(x, y): np.array([1.0, -0.0, 0.5j, 0.0]) for x in range(-3, 4) for y in (-1, 2)})
+    for _ in range(8):
+        u = _assert_apply_walk_equals_the_reference(coin, u)
+
+
+def test_walk_operator_is_the_coin_field_itself():
+    # qwbench's evolve cases still wrap their field in qwres.WalkOperator.
+    coin, u = _criterion_04_field_3()
+    assert qwres.WalkOperator(coin) is coin
+    assert _state_bytes(evolve(qwres.WalkOperator(coin), u, 500)) == _state_bytes(
+        evolve(coin, u, 500))
 
 
 def test_evolve_equals_the_dict_reference_on_criterion_04_field_3():
@@ -525,7 +584,7 @@ def test_evolve_equals_the_dict_reference_on_criterion_04_field_3():
            for x1 in (-1, 0, 1) for x2 in (-1, 0, 1)}
     raw = WalkState(amp)
     u = WalkState({s: v / raw.norm() for s, v in amp.items()})
-    fast = evolve(WalkOperator(coin), u, 10_000)
+    fast = evolve(coin, u, 10_000)
     reference = _reference_evolve(coin, dict(u.items()), 10_000)
     assert list(fast.sites()) == list(reference)
     assert fast.norm().hex() == _norm_by_site(reference).hex()
@@ -540,7 +599,7 @@ def test_evolve_copies_a_repeating_window_to_the_bit(monkeypatch):
     u = WalkState.delta((0, 0), LEFT).plus(WalkState.delta((-40, 1), RIGHT, 0.5j))
     monkeypatch.setattr(lattice, "_BANK_ROWS", 20)
     for t in range(130):
-        assert _state_bytes(evolve(WalkOperator(coin), u, t)) == _state_bytes(
+        assert _state_bytes(evolve(coin, u, t)) == _state_bytes(
             _reference_evolve(coin, dict(u.items()), t)), t
 
 
@@ -554,7 +613,7 @@ def _evolve_counting_steps(monkeypatch, coin, u, t):
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "einsum", counted)
-        return evolve(WalkOperator(coin), u, t), len(steps)
+        return evolve(coin, u, t), len(steps)
 
 
 @pytest.mark.parametrize("stride, taken", [(lattice._REPEAT_STRIDE, 64), (4, None)])
@@ -587,7 +646,7 @@ def _evolve_meeting_leads(coin, rest, leads, t):
     """evolve(rest + leads, t) equals the reference to the bit, and every lead
     (an entry of leads) lands on a site that evolve(rest, t) reaches too."""
     u = rest.plus(leads)
-    assert _state_bytes(evolve(WalkOperator(coin), u, t)) == _state_bytes(
+    assert _state_bytes(evolve(coin, u, t)) == _state_bytes(
         _reference_evolve(coin, dict(u.items()), t))
     reached = _reference_evolve(coin, dict(rest.items()), t)
     for (x, y), vec in leads.items():
@@ -624,7 +683,7 @@ def test_evolve_peaks_below_twice_its_result():
     coin, u = _criterion_04_field_3()
     tracemalloc.start()
     try:
-        out = evolve(WalkOperator(coin), u, 10_000)
+        out = evolve(coin, u, 10_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,17 +750,17 @@ def test_walk_state_rejects_a_coordinate_beyond_64_bits(site):
 
 
 def test_steps_that_leave_64_bits_raise():
-    op = WalkOperator(random_coin_field(1, seed=2))
+    coin = random_coin_field(1, seed=2)
     top, bottom = 2**63 - 1, -(2**63)
-    assert evolve(op, WalkState.delta((top - 3, 0), RIGHT), 3).support() == {(top, 0)}
-    assert evolve(op, WalkState.delta((0, bottom + 3), DOWN), 3).support() == {(0, bottom)}
+    assert evolve(coin, WalkState.delta((top - 3, 0), RIGHT), 3).support() == {(top, 0)}
+    assert evolve(coin, WalkState.delta((0, bottom + 3), DOWN), 3).support() == {(0, bottom)}
     # Amplitude on the far edge heading for the box only moves in.
-    assert evolve(op, WalkState.delta((bottom, 0), RIGHT), 3).support() == {(bottom + 3, 0)}
+    assert evolve(coin, WalkState.delta((bottom, 0), RIGHT), 3).support() == {(bottom + 3, 0)}
     for site, j in [((top - 2, 0), RIGHT), ((0, bottom + 2), DOWN), ((bottom + 1, 5), LEFT)]:
         with pytest.raises(ValueError, match="64-bit"):
-            evolve(op, WalkState.delta(site, j), 3)
+            evolve(coin, WalkState.delta(site, j), 3)
     with pytest.raises(ValueError, match="64-bit"):
-        apply_walk(op, WalkState.delta((top, 0), RIGHT))
+        apply_walk(coin, WalkState.delta((top, 0), RIGHT))
 
 
 def _reference_from_entries(sites, chiralities, values):

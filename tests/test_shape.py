@@ -170,7 +170,7 @@ class TestCornerFamily:
         fam = make_corner_family(1, 2, 0.35, "phase-corner")
         data = corner_quantization(fam)
         for mode in data.eigenvalues():
-            stepped = apply_walk(fam.operator, mode.state)
+            stepped = apply_walk(fam.coin, mode.state)
             scaled = WalkState(
                 {
                     site: cmath.exp(-1j * mode.kappa) * mode.state.amplitude(site)
@@ -189,7 +189,7 @@ class TestCornerFamily:
         assert data.resonances()
         for mode in data.resonances():
             report = verify_outgoing(
-                fam.operator, mode.state, window=fam.box_radius + 5
+                fam.coin, mode.state, window=fam.box_radius + 5
             )
             assert report.residual <= 1e-12 * max(1.0, report.scale)
             assert not report.trivial
@@ -243,7 +243,7 @@ class TestCornerFamily:
     def test_preset_invariants(self, eps, preset):
         fam = make_corner_family(1, 2, eps, preset)
         for site in corner_sites(1, 2):
-            coin = fam.coin_at(site)
+            coin = fam.coin.coin_at(site)
             assert unitarity_residual(coin) <= 1e-12
             base = elastic_corner_coins(1, 2)[site]
             assert float(np.max(np.abs(coin - base))) <= eps + 1e-12

@@ -20,7 +20,6 @@ from qwres.lattice import (
     STEPS,
     UP,
     CoinField,
-    WalkOperator,
     WalkState,
     apply_walk,
     compress_walk,
@@ -44,10 +43,10 @@ from qwres.spectral import (
 )
 from qwres.shape import CORNER_PRESETS
 
-FREE = WalkOperator(CoinField(0, {}))
+FREE = CoinField(0, {})
 
 
-def neumann_element(op, kappa, f, g, nmax=400):
+def neumann_element(coin, kappa, f, g, nmax=400):
     """<(U - e^{-i kappa})^{-1} f, g> summed as free flight against the walk.
 
     Independent of every kernel formula: only repeated application of the
@@ -63,7 +62,7 @@ def neumann_element(op, kappa, f, g, nmax=400):
         total += -(w ** (-(n + 1))) * state.inner(g)
         if scale * decay ** (n + 1) / (1.0 - decay) < 1e-17:
             break
-        state = apply_walk(op, state)
+        state = apply_walk(coin, state)
     return total
 
 
@@ -141,14 +140,13 @@ def test_free_resolvent_solves_walk_equation_pointwise():
 
 def dynamics_interaction_matrix(coin, kappa):
     """Columns of the compressed matrix built from walk dynamics alone."""
-    op = WalkOperator(coin)
     pairs = DeterminantFamily(coin).pairs
     w = np.exp(-1j * kappa)
     m = len(pairs)
     out = np.zeros((m, m), dtype=complex)
     for col, (y, k) in enumerate(pairs):
         e = WalkState.delta(y, k)
-        ve = apply_walk(op, e).plus(apply_walk(FREE, e).scaled(-1.0))
+        ve = apply_walk(coin, e).plus(apply_walk(FREE, e).scaled(-1.0))
         state = ve
         acc = np.zeros(m, dtype=complex)
         for n in range(400):
@@ -171,14 +169,13 @@ def test_interaction_matrix_matches_dynamics(seed, kappa):
 
 def test_full_resolvent_element_matches_dynamics_series():
     coin = random_coin_field(1, seed=13)
-    op = WalkOperator(coin)
     # The second pair sits on edges entering the override box [-1, 1]^2 from
     # outside it: f arrives from (2, 0) and (0, -2), g from (-2, 0) and (0, 2).
     entering_f = WalkState.delta((1, 0), LEFT).plus(WalkState.delta((0, -1), UP, 0.5j))
     entering_g = WalkState.delta((-1, 0), RIGHT, 0.7).plus(WalkState.delta((0, 1), DOWN, -1.1j))
     for f, g in ((random_state(31), random_state(32)), (entering_f, entering_g)):
         for kappa in (1.0j, 0.4 + 0.8j, -2.0 + 1.2j):
-            oracle = neumann_element(op, kappa, f, g)
+            oracle = neumann_element(coin, kappa, f, g)
             direct = resolvent_matrix_element(coin, kappa, f, g)
             assert direct == pytest.approx(oracle, abs=1e-11)
 
@@ -1400,8 +1397,8 @@ def window_norm(u, radius):
 
 def decay_rates(coin, radius, times):
     """log(n_b / n_a) / (b - a) over consecutive times of the window norm n from delta((0, 0), LEFT)."""
-    op, u = WalkOperator(coin), WalkState.delta((0, 0), LEFT)
-    norms = [window_norm(evolve(op, u, t), radius) for t in times]
+    u = WalkState.delta((0, 0), LEFT)
+    norms = [window_norm(evolve(coin, u, t), radius) for t in times]
     return [np.log(nb / na) / (b - a) for na, nb, a, b in zip(norms, norms[1:], times, times[1:])]
 
 
@@ -1517,7 +1514,6 @@ def test_winding_vanishes_above_the_axis():
 
 def test_resolvent_apply_solves_walk_equation_below_axis():
     coin = random_coin_field(1, seed=29)
-    op = WalkOperator(coin)
     kappa = 0.4 - 0.3j
     w = np.exp(-1j * kappa)
     # The second source sits outside the override box, on a left mover
@@ -1527,7 +1523,7 @@ def test_resolvent_apply_solves_walk_equation_below_axis():
         WalkState.delta((3, 0), LEFT),
     ):
         u = resolvent_apply(coin, kappa, f, radius=8)
-        pushed = apply_walk(op, u)
+        pushed = apply_walk(coin, u)
         for x1 in range(-7, 8):
             for x2 in range(-7, 8):
                 site = (x1, x2)
@@ -1559,12 +1555,11 @@ def loop_eigenfunction(kappa, plus=True):
 
 def test_loop_eigenfunctions_are_exact():
     coin = CoinField(1, one_corner_coins(0.0))
-    op = WalkOperator(coin)
     for k in range(4):
         kappa = np.pi * k / 2.0
         for plus in (True, False):
             f = loop_eigenfunction(kappa, plus)
-            assert apply_walk(op, f).allclose(f.scaled(np.exp(-1j * kappa)), tol=1e-12)
+            assert apply_walk(coin, f).allclose(f.scaled(np.exp(-1j * kappa)), tol=1e-12)
 
 
 def test_projection_on_eigenspace_returns_squared_norm():

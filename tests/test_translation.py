@@ -11,7 +11,6 @@ from qwres.lattice import (
     STEP_SIGN,
     UP,
     CoinField,
-    WalkOperator,
     WalkState,
     apply_walk,
     random_coin_field,
@@ -26,7 +25,7 @@ from qwres.translation import (
     verify_outgoing,
 )
 
-FREE = WalkOperator(CoinField(0, {}))
+FREE = CoinField(0, {})
 
 complex_theta = st.builds(
     complex,
@@ -78,9 +77,9 @@ def test_free_walk_conjugation_is_a_global_phase(theta, seed):
 @settings(max_examples=30, deadline=None)
 @given(theta=st.floats(-3.0, 3.0, allow_nan=False), seed=st.integers(0, 2**31))
 def test_conjugated_perturbed_walk_is_unitary_for_real_theta(theta, seed):
-    op = WalkOperator(random_coin_field(2, seed=seed % 1000))
+    coin = random_coin_field(2, seed=seed % 1000)
     u = random_state(seed, n_sites=5, span=3)
-    v = apply_U_theta(op, theta, u)
+    v = apply_U_theta(coin, theta, u)
     assert v.norm() == pytest.approx(u.norm(), rel=1e-11)
 
 
@@ -130,9 +129,9 @@ def corner_resonant_state(eps, k):
 
 @pytest.mark.parametrize("eps,k", [(0.6, 0), (0.6, 1), (0.3, 2), (0.9, 3)])
 def test_corner_resonant_state_satisfies_walk_equation(eps, k):
-    op = WalkOperator(CoinField(1, one_corner_coins(eps)))
+    coin = CoinField(1, one_corner_coins(eps))
     state = corner_resonant_state(eps, k)
-    report = verify_outgoing(op, state, window=6)
+    report = verify_outgoing(coin, state, window=6)
     assert not report.trivial
     assert report.residual <= 1e-12 * max(1.0, report.scale)
 
@@ -146,18 +145,18 @@ def test_corner_resonant_state_summability_threshold():
 
 
 def test_wrong_kappa_leaves_a_residual():
-    op = WalkOperator(CoinField(1, one_corner_coins(0.6)))
+    coin = CoinField(1, one_corner_coins(0.6))
     good = corner_resonant_state(0.6, 1)
     bad = OutgoingState(good.kappa + 0.01, 1, good.core, tail_down={0: 0.6})
-    report = verify_outgoing(op, bad, window=5)
+    report = verify_outgoing(coin, bad, window=5)
     assert report.residual > 1e-3
 
 
 def test_mismatched_tail_coefficient_is_detected():
-    op = WalkOperator(CoinField(1, one_corner_coins(0.6)))
+    coin = CoinField(1, one_corner_coins(0.6))
     good = corner_resonant_state(0.6, 1)
     bad = OutgoingState(good.kappa, 1, good.core, tail_down={0: 0.61})
-    report = verify_outgoing(op, bad, window=5)
+    report = verify_outgoing(coin, bad, window=5)
     assert report.residual > 1e-3
 
 
@@ -174,7 +173,7 @@ def test_incoming_exponential_is_rejected():
     assert report.residual > 1e-2
 
 
-FREE_BOX1 = WalkOperator(CoinField(1, {}))
+FREE_BOX1 = CoinField(1, {})
 
 
 def test_outgoing_state_requires_decaying_eigenvalue():
@@ -186,9 +185,9 @@ def test_outgoing_state_requires_decaying_eigenvalue():
 
 def test_verify_outgoing_window_floor():
     state = corner_resonant_state(0.5, 0)
-    op = WalkOperator(CoinField(1, one_corner_coins(0.5)))
+    coin = CoinField(1, one_corner_coins(0.5))
     with pytest.raises(ValueError, match="window"):
-        verify_outgoing(op, state, window=2)
+        verify_outgoing(coin, state, window=2)
 
 
 def test_trivial_state_is_flagged():
@@ -247,24 +246,24 @@ def test_sample_equals_the_dict_reference_to_the_bit(preset):
 
 def _first_one_corner_resonance():
     fam = make_corner_family(1, 1, 0.3, "one-corner")
-    return fam.operator, corner_quantization(fam).resonances()[0].state
+    return fam.coin, corner_quantization(fam).resonances()[0].state
 
 
 def test_verify_outgoing_does_not_hide_a_nan_tail_coefficient():
-    op, s = _first_one_corner_resonance()
-    assert verify_outgoing(op, s, window=6).residual <= 1e-12
+    coin, s = _first_one_corner_resonance()
+    assert verify_outgoing(coin, s, window=6).residual <= 1e-12
     tails = [dict(t) for t in s.tails]
     j = next(j for j, t in enumerate(tails) if t)
     tails[j][next(iter(tails[j]))] = complex(np.nan, 0.0)
     bad = OutgoingState(s.kappa, s.box_radius, s.core, *tails)
-    assert not verify_outgoing(op, bad, window=6).residual <= 1e-12
+    assert not verify_outgoing(coin, bad, window=6).residual <= 1e-12
 
 
 def test_verify_outgoing_does_not_hide_a_nan_core_amplitude():
-    op, s = _first_one_corner_resonance()
+    coin, s = _first_one_corner_resonance()
     amp = dict(s.core.items())
     site = next(iter(amp))
     amp[site] = amp[site].copy()
     amp[site][np.flatnonzero(amp[site])[0]] = np.nan
     bad = OutgoingState(s.kappa, s.box_radius, WalkState(amp), *s.tails)
-    assert not verify_outgoing(op, bad, window=6).residual <= 1e-12
+    assert not verify_outgoing(coin, bad, window=6).residual <= 1e-12
